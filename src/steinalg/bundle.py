@@ -256,9 +256,6 @@ class BSteinElt:
     terms: tuple[BTerm, ...] = ()
     flag: str = FLAG_FULL
 
-    def is_zero_elt(self) -> bool:
-        return not self.terms
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -197,6 +197,8 @@ class NormEstimate:
     upper: Optional[float]
     iterations: int
     truncation_radius: Optional[int] = None
+    # columns with an exact image; a lower bound of 0 with none certifies nothing
+    interior_cols: Optional[int] = None
 
     def __str__(self) -> str:
         up = "?" if self.upper is None else f"{self.upper:.9f}"
@@ -248,7 +250,8 @@ def opnorm_lower(
     """Certified lower bound for the operator norm: power iteration on the
     matrix with boundary columns dropped, so every image is exact."""
     sigma, iters = _power_lower(op.to_csr(drop_boundary=True), tol, max_iter)
-    return NormEstimate(sigma, None, iters, truncation_radius)
+    interior = op.shape[1] - len(op.boundary_cols)
+    return NormEstimate(sigma, None, iters, truncation_radius, interior)
 
 
 def h_ball_operator(
@@ -425,6 +428,7 @@ def stein_H_norm_bound(
         max(collapse, _layered_upper(coeffs)),
         est.iterations,
         radius,
+        est.interior_cols,
     )
 
 
@@ -450,11 +454,13 @@ def bundle_norm_bound(
     exact character maxima.  z- and eps-fibers carry the order-two group
     times the free factor; splitting along the two characters of the
     order-two part leaves free group walks, bounded as in
-    ``stein_H_norm_bound``.
+    ``stein_H_norm_bound``.  Equal walks (both characters when no term has
+    bit 1; the eps unit and the fresh z unit) share one estimate;
+    ``interior_cols`` is the largest count over the walks.
     """
     lower = 0.0
     upper = 0.0
-    iterations = 0
+    estimates: dict[frozenset, NormEstimate] = {}
     for u in stratum_units((f,)):
         coeffs = _fiber_coeffs(f, u)
         if not coeffs:
@@ -479,13 +485,14 @@ def bundle_norm_bound(
             walk = {h: c for h, c in walk.items() if c != 0}
             if not walk:
                 continue
-            est = opnorm_lower(h_ball_operator(walk, radius), tol, max_iter)
-            lower = max(lower, est.lower)
+            key = frozenset(walk.items())
+            if key not in estimates:
+                estimates[key] = opnorm_lower(h_ball_operator(walk, radius), tol, max_iter)
+            lower = max(lower, estimates[key].lower)
             upper = max(upper, _layered_upper(walk))
-            iterations += est.iterations
-            if not any(bit for bit, _ in coeffs):
-                break  # both characters give the same walk
-    return NormEstimate(lower, upper, iterations, radius)
+    ests = estimates.values()
+    interior = max((e.interior_cols for e in ests), default=None)
+    return NormEstimate(lower, upper, sum(e.iterations for e in ests), radius, interior)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +535,9 @@ def cauchy_profile(
     sup distance and a certified two-sided bound for the reduced norm of
     b_n - b_m; limit rows record the sup distance to the indicator of the
     y-rooted half.  Pointwise the b_n converge (sup distances vanish),
-    while the norm rows stay bounded away from zero.
+    and the norm rows tend to 0 as well: the certified upper bound of a
+    pair is haagerup_bound(n) + haagerup_bound(m), so the b_n are Cauchy
+    in the reduced norm.
     """
     idx = sorted(set(indices))
     for n in idx:

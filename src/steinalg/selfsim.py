@@ -168,11 +168,6 @@ def omega(head: FinWord, period: FinWord) -> OmegaWord:
     return OmegaWord(FinWord(h), FinWord(p))
 
 
-def word_len(w: Word):
-    """Length of a word; None means infinite."""
-    return len(w) if isinstance(w, FinWord) else None
-
-
 # ---------------------------------------------------------------------------
 # the action
 # ---------------------------------------------------------------------------

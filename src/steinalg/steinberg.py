@@ -16,6 +16,9 @@ restrictions die after two letters.  Length-L classes absorb every longer
 and infinite word and are exactly the classes whose germ sets contain open
 cylinders, so a function is singular precisely when no nonzero stratum has
 full pattern length.
+
+One lazy walk over these classes serves both folds, ``st_support_strata``
+and ``st_sup_dist``; each computes a term's germ key once per class.
 """
 
 from __future__ import annotations
@@ -26,11 +29,9 @@ from typing import Iterable, Optional, Union
 
 from .groups import FreeWord, GElt, KElt, W_ONE, free_word, hom_pi, sphere
 from .selfsim import (
-    EPS,
     FinWord,
     Germ,
     Letter,
-    OmegaWord,
     S_ONE,
     SElt,
     Word,
@@ -243,21 +244,6 @@ class SupportStratum:
         return f"<{self.value} at [{self.base}, {pat or 'eps'}{tail}] ({kind})>"
 
 
-def _mentioned_indices(f: SteinElt, extra: tuple[FinWord, ...]):
-    ys: set[int] = set()
-    zs: set[KElt] = set()
-    words = [s.alpha for s, _ in f.terms] + [s.beta for s, _ in f.terms]
-    words.extend(f.region.removed)
-    words.extend(extra)
-    for w in words:
-        for x in w:
-            if x.family == "y":
-                ys.add(x.index)
-            else:
-                zs.add(x.index)
-    return ys, zs
-
-
 def _fresh_letter(fam: str, ch: int, pos: int, ys: set[int], zs: set[KElt]) -> Letter:
     if fam == "y":
         return Letter("y", ch, max((abs(n) for n in ys), default=0) + 1 + pos)
@@ -265,65 +251,36 @@ def _fresh_letter(fam: str, ch: int, pos: int, ys: set[int], zs: set[KElt]) -> L
     return Letter("z", ch, KElt(free_word("c" * depth), W_ONE, 0))
 
 
-def _class_strata(f, defined, rep_word, pattern, interior):
-    """Partition the terms defined on this word class by their germ at the
-    representative; emit one stratum per nonzero value."""
-    in_region = f.region.member(rep_word)
-    if not in_region:
-        return []
-    groups: dict = {}
-    for s, c in defined:
-        groups.setdefault(germ_key(s, rep_word), []).append((s, c))
-    out = []
-    for members in groups.values():
-        value = sum((c for _, c in members), Fraction(0))
-        if value == 0:
-            continue
-        ms = tuple(sorted((s for s, _ in members), key=lambda s: s.sort_key()))
-        out.append(
-            SupportStratum(pattern, rep_word, ms[0], ms, value, interior)
-        )
-    return out
+def _word_classes(terms: tuple, cuts: tuple[FinWord, ...]):
+    """Lazily yield ``(pattern, rep_word, interior, defined)`` per word class.
 
-
-def st_support_strata(
-    f: SteinElt, split_on: tuple[FinWord, ...] = ()
-) -> tuple[SupportStratum, ...]:
-    """All nonzero germ-class strata of f, exact and exhaustive.
-
-    ``split_on`` lists extra prefixes the word classes must distinguish;
-    joint computations over several elements pass the other elements'
-    removed cylinders here so that every class is constant for all of them.
+    ``terms`` are tuples whose first entry is an S-element; ``cuts`` are
+    extra prefixes (removed cylinders) the classes must distinguish.
+    ``defined`` holds the terms whose source prefix ``rep_word`` extends;
+    full-length classes are ``interior``, with an infinite representative.
     """
-    if not f.terms:
-        return ()
-    max_beta = max(len(s.beta) for s, _ in f.terms)
-    max_removed = max(
-        (len(r) for r in f.region.removed + tuple(split_on)), default=0
-    )
-    L = max(max_beta + 2, max_removed)
-    ys, zs = _mentioned_indices(f, tuple(split_on))
-    trie_words = [s.beta for s, _ in f.terms] + list(f.region.removed)
-    trie_words.extend(split_on)
-
-    strata: list[SupportStratum] = []
+    elts = [t[0] for t in terms]
+    L = max([len(s.beta) + 2 for s in elts] + [len(r) for r in cuts])
+    written = [x for s in elts for x in s.alpha + s.beta]
+    written.extend(x for r in cuts for x in r)
+    ys = {x.index for x in written if x.family == "y"}
+    zs = {x.index for x in written if x.family == "z"}
 
     def walk(pos, pattern, rep, alive):
         rep_fin = FinWord(tuple(rep))
         defined = [
-            (s, c) for s, c in f.terms if len(s.beta) <= pos and rep_fin.startswith(s.beta)
+            t for t in terms if len(t[0].beta) <= pos and rep_fin.startswith(t[0].beta)
         ]
         if pos == L:
             tail = _fresh_letter("y", 1, L, ys, zs)
-            rep_inf = omega(rep_fin, FinWord((tail,)))
-            strata.extend(_class_strata(f, defined, rep_inf, pattern, True))
+            yield pattern, omega(rep_fin, FinWord((tail,))), True, defined
             return
-        strata.extend(_class_strata(f, defined, rep_fin, pattern, False))
+        yield pattern, rep_fin, False, defined
         children = sorted(
             {w[pos] for w in alive if len(w) > pos}, key=Letter.sort_key
         )
         for x in children:
-            walk(
+            yield from walk(
                 pos + 1,
                 pattern + (("lit", x),),
                 rep + [x],
@@ -331,32 +288,65 @@ def st_support_strata(
             )
         for fam, ch in GEN_FAMILIES:
             x = _fresh_letter(fam, ch, pos, ys, zs)
-            walk(pos + 1, pattern + (("gen", fam, ch),), rep + [x], [])
+            yield from walk(pos + 1, pattern + (("gen", fam, ch),), rep + [x], [])
         # generic letters match no written prefix, so nothing stays alive
 
-    walk(0, (), [], list(trie_words))
+    return walk(0, (), [], [s.beta for s in elts] + list(cuts))
+
+
+def st_support_strata(
+    f: SteinElt, split_on: tuple[FinWord, ...] = ()
+) -> tuple[SupportStratum, ...]:
+    """All nonzero germ-class strata of f, exact and exhaustive.
+
+    One fold over the word classes: at each representative inside the
+    region, the defined terms are grouped by germ key, and each group
+    with nonzero coefficient sum is a stratum.  ``split_on`` lists extra
+    prefixes the word classes must distinguish.
+    """
+    if not f.terms:
+        return ()
+    strata: list[SupportStratum] = []
+    classes = _word_classes(f.terms, f.region.removed + tuple(split_on))
+    for pattern, rep, interior, defined in classes:
+        if not f.region.member(rep):
+            continue
+        groups: dict = {}
+        for s, c in defined:
+            groups.setdefault(germ_key(s, rep), []).append((s, c))
+        for members in groups.values():
+            value = sum((c for _, c in members), Fraction(0))
+            if value != 0:
+                ms = tuple(sorted((s for s, _ in members), key=SElt.sort_key))
+                strata.append(
+                    SupportStratum(pattern, rep, ms[0], ms, value, interior)
+                )
     return tuple(strata)
 
 
 def st_sup_dist(f: SteinElt, g: SteinElt) -> Fraction:
     """Exact supremum of |f - g| over all germs.
 
-    Joint stratification: on each pattern class the germ partition of the
-    combined term lists and both regions' membership are constant, so the
-    difference attains its supremum on the class representatives.
+    One fold over the word classes of f's terms with +c and g's with -c,
+    split on both regions' removed cylinders, so that the germ partition
+    and both regions' membership are constant on each class.  At each
+    representative every defined term's germ key is computed once, and
+    the signed coefficients of the terms inside their own region are
+    summed per key; the largest |sum| is the supremum.
     """
-    # all-ones coefficients: the scaffold only provides germ classes, and
-    # real coefficients could cancel a class out of the enumeration
-    combined = st_make([(s, 1) for s, _ in f.terms + g.terms])
-    if not combined.terms:
+    signed = [(s, c, 0) for s, c in f.terms] + [(s, -c, 1) for s, c in g.terms]
+    if not signed:
         return Fraction(0)
-    removed = tuple(
-        sorted(set(f.region.removed) | set(g.region.removed), key=FinWord.sort_key)
-    )
     best = Fraction(0)
-    for stratum in st_support_strata(combined, split_on=removed):
-        gm = stratum.rep_germ()
-        best = max(best, abs(st_eval(f, gm) - st_eval(g, gm)))
+    classes = _word_classes(signed, f.region.removed + g.region.removed)
+    for _, rep, _, defined in classes:
+        inside = (f.region.member(rep), g.region.member(rep))
+        sums: dict = {}
+        for s, c, side in defined:
+            if inside[side]:
+                key = germ_key(s, rep)
+                sums[key] = sums.get(key, Fraction(0)) + c
+        best = max([best, *map(abs, sums.values())])
     return best
 
 

@@ -5,6 +5,7 @@ import os
 
 from click.testing import CliRunner
 
+from steinalg import cli
 from steinalg.cli import main
 
 
@@ -70,6 +71,20 @@ def test_verify_cauchy_section_contents():
     assert [l["sup_dist"] for l in limits] == ["1/4", "1/12", "1/36"]
     for p in pairs:
         assert p["lower_bound"] <= p["upper_bound"] + 1e-12
+
+
+def test_verify_bundle_cauchy_uses_bundle_elements(monkeypatch):
+    # the trivial-character check of the bundle example reads bundle_bn
+    def no_selfsim(n):
+        raise AssertionError("selfsim b_n used in the bundle example")
+
+    monkeypatch.setattr(cli, "st_bn", no_selfsim)
+    res = run("verify", "--example", "bundle", "--indices", "1,2,3")
+    assert res.exit_code == 0
+    checks = json.loads(res.stdout)["checks"]
+    check = next(c for c in checks if c["id"] == "cauchy-profile")
+    assert check["status"] == "pass"
+    assert check["detail"].endswith("pi_triv part of every difference is 0")
 
 
 def test_verify_csv_emits_cauchy_table():

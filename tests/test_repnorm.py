@@ -16,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from steinalg import repnorm
+
 from steinalg.bundle import (
     bstein_sub,
     bundle_a,
@@ -322,6 +324,35 @@ def test_bundle_norm_bound_matches_fiber_walk():
     assert via_bundle.upper == pytest.approx(via_fiber.upper, abs=1e-12)
 
 
+def test_norm_bound_reports_interior_columns():
+    # at radius 6 every column of the b_6 - b_8 ball operator is boundary,
+    # so its lower bound 0 is "no interior column", not a measured zero
+    est = stein_H_norm_bound(st_sub(st_bn(6), st_bn(8)), radius=6)
+    assert est.interior_cols == 0 and est.lower == 0.0
+    est = stein_H_norm_bound(st_sub(st_bn(1), st_bn(2)), radius=6)
+    assert est.interior_cols == len(ball(4))
+    assert opnorm_lower(h_ball_operator({W_ONE: Fraction(1)}, 2)).interior_cols == 17
+    assert rho_estimate((W_ONE,), radius=3).interior_cols is None
+
+
+def test_bundle_norm_bound_builds_each_walk_once(monkeypatch):
+    # the eps unit and the fresh z unit carry the same walk for b_1 - b_2
+    builds = []
+
+    def counting(coeffs, radius):
+        builds.append(dict(coeffs))
+        return h_ball_operator(coeffs, radius)
+
+    monkeypatch.setattr(repnorm, "h_ball_operator", counting)
+    diff = bstein_sub(bundle_bn(1), bundle_bn(2))
+    est = bundle_norm_bound(diff, radius=5, tol=1e-9)
+    assert len(builds) == 1
+    via_fiber = stein_H_norm_bound(st_sub(st_bn(1), st_bn(2)), radius=5, tol=1e-9)
+    assert (est.lower, est.upper) == (via_fiber.lower, via_fiber.upper)
+    assert est.interior_cols == via_fiber.interior_cols == len(ball(3))
+    assert bundle_norm_bound(bundle_chiB(), radius=2).interior_cols is None
+
+
 def test_bundle_norm_bound_named_elements():
     est = bundle_norm_bound(bundle_bn(1), radius=3)
     assert est.lower == pytest.approx(1.0)
@@ -388,7 +419,8 @@ def test_cauchy_profile_validation_and_edges():
 
 def test_sup_distances_vanish_but_norms_do_not():
     # pointwise Cauchy: sup distances shrink by a factor 3 per index, while
-    # the certified norm lower bounds stay above a fixed floor
+    # for these small indices the certified norm lower bounds stay above
+    # 0.5 (for growing n, m the norms do tend to 0, like n 3^(-n/2))
     prof = cauchy_profile((1, 2, 3), example="selfsim", radius=5)
     sups = {(r.n, r.m): r.sup_dist for r in prof.rows}
     assert sups[(2, 3)] == sups[(1, 2)] / 3

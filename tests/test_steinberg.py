@@ -423,6 +423,59 @@ def test_sup_dist_sees_removed_cylinders():
     assert st_sup_dist(g, g) == 0
 
 
+def two_pass_sup_dist(f, g):
+    """Reference two-pass sup distance: stratify an all-ones scaffold of
+    both term lists split on both regions' removed cylinders, then
+    evaluate f and g with st_eval at every stratum representative."""
+    combined = st_make([(s, 1) for s, _ in f.terms + g.terms])
+    removed = tuple(
+        sorted(set(f.region.removed) | set(g.region.removed), key=FinWord.sort_key)
+    )
+    best = Fraction(0)
+    for stratum in st_support_strata(combined, split_on=removed):
+        gm = stratum.rep_germ()
+        best = max(best, abs(st_eval(f, gm) - st_eval(g, gm)))
+    return best
+
+
+def restricted(kind):
+    """Elements restricted to a region of the given kind, minus up to two
+    removed cylinders."""
+    removed = st.lists(small_words.filter(len), max_size=2).map(tuple)
+    return st.builds(
+        lambda ts, cut: st_make(ts, Region(kind, cut)),
+        st.lists(st.tuples(s_elts, coeffs), max_size=2),
+        removed,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(stein_full, stein_full)
+def test_sup_dist_equals_two_pass_oracle(f, g):
+    assert st_sup_dist(f, g) == two_pass_sup_dist(f, g)
+
+
+@pytest.mark.parametrize("kind", [REGION_B, REGION_C, REGION_FULL])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sup_dist_equals_two_pass_oracle_on_regions(kind, data):
+    f = data.draw(restricted(kind))
+    g = data.draw(st.one_of(stein_full, restricted(kind), restricted(REGION_B)))
+    assert st_sup_dist(f, g) == two_pass_sup_dist(f, g)
+    assert st_sup_dist(g, f) == st_sup_dist(f, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_bn_to_a_chiB_distance_is_attained(n):
+    abn, achib = st_conv(st_a(), st_bn(n)), a_chiB()
+    d = st_sup_dist(abn, achib)
+    assert d == Fraction(1, len(sphere(n)))
+    # attained at [h, z] for a sphere word h: a*b_n is 1/|S_n| there, a*chiB 0
+    h = s_from_group(h_elt(sphere(n)[0]))
+    gm = Germ(h, finword(zl(1, K_ONE)))
+    assert st_eval(abn, gm) - st_eval(achib, gm) == d
+
+
 @settings(max_examples=100, deadline=None)
 @given(stein_full, stein_full, st.data())
 def test_sup_dist_dominates_samples(f, g, data):
