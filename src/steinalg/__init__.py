@@ -91,6 +91,7 @@ __all__ = [
     "st_open_witness",
     "st_sub",
     "st_sup_dist",
+    "stein_H_norm_bound",
     "strongly_fixed_spectrum",
     "yl",
     "zl",

@@ -12,8 +12,12 @@ U_g restricted to compact open unit sets, together with a symbolic
 restriction flag to one of the two closed-open halves B = X u Y and
 F = Z u {eps}; this keeps the indicator of the noncompact half B exact.
 
-Everything here is exact: coefficients are fractions, suprema are computed
-over finitely many strata on which every involved function is constant.
+Over one unit a function is a finite table of values on the fiber group,
+``fiber_values``.  Evaluation, sup distances and singularity verdicts all
+read that table, at one unit per stratum of ``stratum_units`` (the strata
+are where every involved function has a constant table), and so does the
+norm bound in ``repnorm``.  Everything here is exact: coefficients are
+fractions.
 """
 
 from __future__ import annotations
@@ -299,17 +303,23 @@ def _fiber_at(bit: int, h: FreeWord, unit: BUnit):
     return (bit, h)
 
 
+def fiber_values(f: BSteinElt, u: BUnit) -> dict[tuple[int, FreeWord], Fraction]:
+    """The nonzero values of f on the fiber over ``u``, keyed by (bit, h).
+
+    Each term adds its coefficient at the single arrow of its bisection
+    over u, so this finite table is all of f over u."""
+    if u.kind not in _FLAG_KINDS[f.flag]:
+        return {}
+    acc: dict[tuple[int, FreeWord], Fraction] = {}
+    for bit, h, c, region in f.terms:
+        if buset_member(region, u):
+            key = _fiber_at(bit, h, u)
+            acc[key] = acc.get(key, Fraction(0)) + c
+    return {k: v for k, v in acc.items() if v != 0}
+
+
 def bstein_eval(f: BSteinElt, arrow: BArrow) -> Fraction:
-    if arrow.unit.kind not in _FLAG_KINDS[f.flag]:
-        return Fraction(0)
-    total = Fraction(0)
-    for bit, h, coeff, region in f.terms:
-        if buset_member(region, arrow.unit) and _fiber_at(bit, h, arrow.unit) == (
-            arrow.bit,
-            arrow.h,
-        ):
-            total += coeff
-    return total
+    return fiber_values(f, arrow.unit).get((arrow.bit, arrow.h), Fraction(0))
 
 
 def _flag_meet(a: str, b: str) -> Optional[str]:
@@ -439,35 +449,15 @@ def stratum_units(fs: tuple[BSteinElt, ...]) -> list[BUnit]:
     return units
 
 
-def _stratum_arrows(fs: tuple[BSteinElt, ...]) -> list[BArrow]:
-    """Finitely many arrows meeting every stratum on which each f is constant.
-
-    Term fibers only match arrows carrying one of the terms' (bit, h)
-    pairs, so evaluating on these arrows sees every value any of the
-    functions attains.
-    """
-    fibers = {(0, W_ONE), (1, W_ONE)}
-    for f in fs:
-        for bit, h, _, _ in f.terms:
-            fibers.add((bit, h))
-    units = stratum_units(fs)
-    arrows: list[BArrow] = []
-    for u in units:
-        if u.kind == "x":
-            arrows.append(barrow(0, W_ONE, u))
-        elif u.kind == "y":
-            arrows.append(barrow(0, W_ONE, u))
-            arrows.append(barrow(1, W_ONE, u))
-        else:
-            arrows.extend(barrow(b, h, u) for b, h in sorted(fibers, key=lambda t: (t[0], t[1].sort_key())))
-    return arrows
-
-
 def bundle_sup_dist(f: BSteinElt, g: BSteinElt) -> Fraction:
-    """Exact supremum of |f - g| over all arrows."""
+    """Exact supremum of |f - g| over all arrows: both are constant on
+    strata, so one unit per stratum and the keys of both fiber tables
+    there see every value of f - g."""
     best = Fraction(0)
-    for arrow in _stratum_arrows((f, g)):
-        best = max(best, abs(bstein_eval(f, arrow) - bstein_eval(g, arrow)))
+    for u in stratum_units((f, g)):
+        vf, vg = fiber_values(f, u), fiber_values(g, u)
+        for key in vf.keys() | vg.keys():
+            best = max(best, abs(vf.get(key, 0) - vg.get(key, 0)))
     return best
 
 
@@ -475,24 +465,21 @@ def bundle_sup_dist(f: BSteinElt, g: BSteinElt) -> Fraction:
 class BundleVerdict:
     singular: bool
     witness: Optional[BArrow]  # a nonzero isolated arrow when nonsingular
-    checked: tuple[tuple[BArrow, Fraction], ...]
 
 
 def bundle_is_singular(f: BSteinElt) -> BundleVerdict:
     """Whether supp(f) has empty interior.
 
     The isolated arrows are exactly those over x- and z-units, and every
-    nonempty open set contains one, so f is singular iff it vanishes on
-    all of them.  Constancy on strata reduces the check to finitely many
-    arrows.
+    nonempty open set contains one, so f is singular iff its fiber table
+    is empty at every x- and z-unit of ``stratum_units``.  The witness is
+    the first nonzero arrow in ``BArrow.sort_key`` order.
     """
-    checked = []
-    witness = None
-    for arrow in _stratum_arrows((f,)):
-        if arrow.unit.kind in ("y", "eps"):
+    for u in stratum_units((f,)):
+        if u.kind not in ("x", "z"):
             continue
-        val = bstein_eval(f, arrow)
-        checked.append((arrow, val))
-        if val != 0 and witness is None:
-            witness = arrow
-    return BundleVerdict(witness is None, witness, tuple(checked))
+        vals = fiber_values(f, u)
+        if vals:
+            bit, h = min(vals, key=lambda k: (k[0], k[1].sort_key()))
+            return BundleVerdict(False, barrow(bit, h, u))
+    return BundleVerdict(True, None)

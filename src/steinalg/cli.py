@@ -24,7 +24,6 @@ import click
 
 from .bundle import (
     B_ZERO,
-    WHOLE_SET,
     barrow,
     bstein_conv,
     bstein_eval,
@@ -58,16 +57,15 @@ from .groups import (
     hom_tau,
     sphere,
 )
-from .repnorm import cauchy_profile, haagerup_bound, rho_estimate
+from .repnorm import cauchy_profile, rho_estimate
 from .selfsim import (
     EPS,
     FinWord,
     Germ,
     S_ONE,
-    SElt,
     effectiveness_witness,
     finword,
-    germ_eq,
+    germ_key,
     omega,
     s_from_group,
     s_from_word,
@@ -207,13 +205,15 @@ def _selfsim_identities(rng: random.Random, checks: list) -> None:
 def _selfsim_germ_law(rng: random.Random, checks: list) -> None:
     elems = [s_from_group(h_elt(h)) for h in sphere(1) + sphere(2)]
     words = [EPS] + [_sample_word(rng) for _ in range(20)]
+    # germ_eq compares germ keys, so each (element, word) key is computed once
+    keys = [[germ_key(s, w) for w in words] for s in elems]
     bad = ""
     pairs = 0
-    for i, s1 in enumerate(elems):
-        for s2 in elems[i + 1:]:
+    for i, (s1, k1) in enumerate(zip(elems, keys)):
+        for s2, k2 in zip(elems[i + 1:], keys[i + 1:]):
             pairs += 1
-            for w in words:
-                if germ_eq(s1, s2, w) != _first_is_y(w):
+            for w, key1, key2 in zip(words, k1, k2):
+                if (key1 == key2) != _first_is_y(w):
                     bad = bad or f"germ law fails for {s1}, {s2} at {w}"
     _check(
         checks,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -28,95 +28,20 @@ import scipy.sparse as sp
 
 from .bundle import (
     BSteinElt,
-    BUnit,
-    _FLAG_KINDS,
-    _fiber_at,
     bstein_sub,
     bundle_bn,
     bundle_chiB,
     bundle_sup_dist,
-    buset_member,
+    fiber_values,
     stratum_units,
 )
 from .groups import FreeWord, H_GENS, W_ONE, ball, sphere
-from .selfsim import EPS, FinWord, Germ, S_ONE, Word, germ_key, s_defined_at, s_mul
-from .steinberg import FULL_REGION, SteinElt, st_bn, st_chiB, st_eval, st_sub, st_sup_dist
+from .steinberg import FULL_REGION, SteinElt, st_bn, st_chiB, st_sub, st_sup_dist
 
 
 # ---------------------------------------------------------------------------
-# germ bases and convolution matrices
+# sparse operators
 # ---------------------------------------------------------------------------
-
-
-def germ_label(g: Germ) -> str:
-    """Class of the germ's range word: 'B' (y-rooted), 'C' (z-rooted), or
-    'eps' (the empty finite word)."""
-    r = g.range_word()
-    if isinstance(r, FinWord):
-        if len(r) == 0:
-            return "eps"
-        first = r[0]
-    else:
-        first = r.letter_at(0)
-    return "B" if first.family == "y" else "C"
-
-
-@dataclass(frozen=True)
-class GermBasis:
-    """An ordered list of distinct germs at a common base word."""
-
-    word: Word
-    germs: tuple[Germ, ...]
-    labels: tuple[str, ...]
-    _by_key: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        by_key = {}
-        for i, g in enumerate(self.germs):
-            if g.word != self.word:
-                raise ValueError("basis germs must share the base word")
-            key = g.key()
-            if key in by_key:
-                raise ValueError("basis germs must be pairwise distinct")
-            by_key[key] = i
-        object.__setattr__(self, "_by_key", by_key)
-
-    def __len__(self) -> int:
-        return len(self.germs)
-
-    def index(self, key) -> Optional[int]:
-        return self._by_key.get(key)
-
-
-def enumerate_orbit(f: SteinElt, w: Word, steps: int) -> GermBasis:
-    """Germs at w reachable from the unit germ by at most ``steps`` left
-    multiplications by terms of f with nonzero value.  The seed [1, w] is
-    always included; duplicates are pruned by the canonical germ key, so
-    terms that agree near the current range word contribute one germ.
-    """
-    seed = Germ(S_ONE, w)
-    germs = [seed]
-    seen = {seed.key()}
-    frontier = [seed]
-    for _ in range(steps):
-        nxt = []
-        for gm in frontier:
-            r = gm.range_word()
-            for t, _ in f.terms:
-                if not s_defined_at(t, r) or st_eval(f, Germ(t, r)) == 0:
-                    continue
-                prod = s_mul(t, gm.s)
-                key = germ_key(prod, w)
-                if key in seen:
-                    continue
-                seen.add(key)
-                new = Germ(prod, w)
-                germs.append(new)
-                nxt.append(new)
-        frontier = nxt
-        if not frontier:
-            break
-    return GermBasis(w, tuple(germs), tuple(germ_label(g) for g in germs))
 
 
 @dataclass(frozen=True)
@@ -125,21 +50,18 @@ class SparseOperator:
 
     Entry (i, j, c) means c in row i, column j.  Boundary columns are
     those whose true image is not captured by the rows; certified lower
-    bounds iterate on vectors supported away from them.  A boundary
-    column may still hold entries (``lambda_matrix`` keeps the products
-    that stay in the basis), or none (``h_ball_operator`` stores no entry
-    for it); ``to_csr(drop_boundary=True)`` gives the same matrix either
-    way.
+    bounds iterate on vectors supported away from them, and ``to_csr``
+    drops every entry of a boundary column.
     """
 
     shape: tuple[int, int]
     entries: tuple[tuple[int, int, Fraction], ...]
     boundary_cols: frozenset[int] = frozenset()
 
-    def to_csr(self, drop_boundary: bool = True) -> sp.csr_matrix:
+    def to_csr(self) -> sp.csr_matrix:
         rows, cols, vals = [], [], []
         for i, j, c in self.entries:
-            if drop_boundary and j in self.boundary_cols:
+            if j in self.boundary_cols:
                 continue
             rows.append(i)
             cols.append(j)
@@ -156,34 +78,6 @@ def sparse_operator(
         (i, j, c) for (i, j), c in sorted(entries.items()) if c != 0
     )
     return SparseOperator(shape, cells, frozenset(boundary_cols))
-
-
-def lambda_matrix(f: SteinElt, basis: GermBasis) -> SparseOperator:
-    """Matrix of left convolution by f on the span of the basis germs.
-
-    Column j collects f(alpha) over the distinct germs alpha of terms of f
-    at the range word of gamma_j; the product germ alpha gamma_j indexes
-    the row.  A product germ outside the basis flags column j as boundary.
-    """
-    entries: dict[tuple[int, int], Fraction] = {}
-    boundary = set()
-    for j, gm in enumerate(basis.germs):
-        r = gm.range_word()
-        reps = {}
-        for t, _ in f.terms:
-            if s_defined_at(t, r):
-                reps.setdefault(germ_key(t, r), t)
-        for t in reps.values():
-            val = st_eval(f, Germ(t, r))
-            if val == 0:
-                continue
-            prod = s_mul(t, gm.s)
-            i = basis.index(germ_key(prod, basis.word))
-            if i is None:
-                boundary.add(j)
-            else:
-                entries[(i, j)] = entries.get((i, j), Fraction(0)) + val
-    return sparse_operator((len(basis), len(basis)), entries, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +143,7 @@ def opnorm_lower(
 ) -> NormEstimate:
     """Certified lower bound for the operator norm: power iteration on the
     matrix with boundary columns dropped, so every image is exact."""
-    sigma, iters = _power_lower(op.to_csr(drop_boundary=True), tol, max_iter)
+    sigma, iters = _power_lower(op.to_csr(), tol, max_iter)
     interior = op.shape[1] - len(op.boundary_cols)
     return NormEstimate(sigma, None, iters, truncation_radius, interior)
 
@@ -371,7 +265,7 @@ def rho_estimate(
             coeffs[k] = coeffs.get(k, Fraction(0)) + unit
         est = opnorm_lower(h_ball_operator(coeffs, radius), tol, max_iter)
         sigma, iters = est.lower, est.iterations
-    return NormEstimate(min(sigma, upper), upper, iters, radius)
+    return NormEstimate(sigma, upper, iters, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +326,6 @@ def stein_H_norm_bound(
     )
 
 
-def _fiber_coeffs(f: BSteinElt, u: BUnit) -> dict[tuple[int, FreeWord], Fraction]:
-    """Coefficients of the fiber group algebra element of f at a unit."""
-    if u.kind not in _FLAG_KINDS[f.flag]:
-        return {}
-    acc: dict[tuple[int, FreeWord], Fraction] = {}
-    for bit, h, c, region in f.terms:
-        if buset_member(region, u):
-            key = _fiber_at(bit, h, u)
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return {k: v for k, v in acc.items() if v != 0}
-
-
 def bundle_norm_bound(
     f: BSteinElt, radius: int = 6, tol: float = 1e-9, max_iter: int = 2000
 ) -> NormEstimate:
@@ -462,7 +344,7 @@ def bundle_norm_bound(
     upper = 0.0
     estimates: dict[frozenset, NormEstimate] = {}
     for u in stratum_units((f,)):
-        coeffs = _fiber_coeffs(f, u)
+        coeffs = fiber_values(f, u)
         if not coeffs:
             continue
         if u.kind == "x":

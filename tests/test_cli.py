@@ -5,7 +5,7 @@ import os
 
 from click.testing import CliRunner
 
-from steinalg import cli
+from steinalg import cli, repnorm
 from steinalg.cli import main
 
 
@@ -132,6 +132,17 @@ def test_scatter_sphere_one_has_four_elements():
     row = json.loads(res.stdout)["rows"][0]
     assert row["sphere_size"] == 4
     assert row["upper"] == 1.0
+
+
+def test_scatter_fails_on_a_lower_bound_above_the_upper(monkeypatch):
+    # an inconsistent certificate must reach the report, not be clamped away
+    monkeypatch.setattr(repnorm, "_radial_sphere1_sigma", lambda *args: (1.25, 1))
+    res = run("scatter", "--indices", "1")
+    assert res.exit_code == 1
+    report = json.loads(res.stdout)
+    assert report["rows"][0]["lower"] == 1.25
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    assert status["lower-below-upper"] == "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,20 @@
 The oracle for every lower bound is a dense singular value decomposition:
 opnorm_lower may never exceed sigma_max of the matrix it was given (with
 boundary columns dropped), and on small matrices it must attain it.  Walk
-operators are cross-checked against the germ enumeration: the matrix of
-left convolution on an orbit basis at a z-rooted word must be, up to a
-basis permutation, the ball truncation built directly from the fiber
-coefficients.
+operators are cross-checked against a germ enumeration kept here as a
+test-local oracle: the matrix of left convolution on an orbit basis at a
+z-rooted word must be, up to a basis permutation, the ball truncation that
+stein_H_norm_bound builds directly from the fiber coefficients (the
+shortcut "z-rooted germs are the left regular representation of H").
 """
+
+from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -27,21 +32,33 @@ from steinalg.bundle import (
 )
 from steinalg.groups import FreeWord, W_ONE, ball, free_word, sphere
 from steinalg.repnorm import (
-    GermBasis,
     LimitRow,
     NormEstimate,
+    SparseOperator,
     bundle_norm_bound,
     cauchy_profile,
-    enumerate_orbit,
     h_ball_operator,
     haagerup_bound,
-    lambda_matrix,
     opnorm_lower,
     rho_estimate,
     sparse_operator,
     stein_H_norm_bound,
 )
-from steinalg.selfsim import EPS, Germ, S_ONE, finword, omega, s_from_group, yl, zl
+from steinalg.selfsim import (
+    EPS,
+    FinWord,
+    Germ,
+    S_ONE,
+    Word,
+    finword,
+    germ_key,
+    omega,
+    s_defined_at,
+    s_from_group,
+    s_mul,
+    yl,
+    zl,
+)
 from steinalg.steinberg import (
     REGION_B,
     Region,
@@ -50,6 +67,7 @@ from steinalg.steinberg import (
     st_a,
     st_bn,
     st_conv,
+    st_eval,
     st_make,
     st_sub,
 )
@@ -71,8 +89,107 @@ def oracle_sigma_max(op) -> float:
 
 
 # ---------------------------------------------------------------------------
-# germ bases and orbit enumeration
+# germ bases and orbit enumeration (the test-local oracle)
 # ---------------------------------------------------------------------------
+
+
+def germ_label(g: Germ) -> str:
+    """Class of the germ's range word: 'B' (y-rooted), 'C' (z-rooted), or
+    'eps' (the empty finite word)."""
+    r = g.range_word()
+    if isinstance(r, FinWord):
+        if len(r) == 0:
+            return "eps"
+        first = r[0]
+    else:
+        first = r.letter_at(0)
+    return "B" if first.family == "y" else "C"
+
+
+@dataclass(frozen=True)
+class GermBasis:
+    """An ordered list of distinct germs at a common base word."""
+
+    word: Word
+    germs: tuple[Germ, ...]
+    labels: tuple[str, ...]
+    _by_key: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_key = {}
+        for i, g in enumerate(self.germs):
+            if g.word != self.word:
+                raise ValueError("basis germs must share the base word")
+            key = g.key()
+            if key in by_key:
+                raise ValueError("basis germs must be pairwise distinct")
+            by_key[key] = i
+        object.__setattr__(self, "_by_key", by_key)
+
+    def __len__(self) -> int:
+        return len(self.germs)
+
+    def index(self, key) -> Optional[int]:
+        return self._by_key.get(key)
+
+
+def enumerate_orbit(f: SteinElt, w: Word, steps: int) -> GermBasis:
+    """Germs at w reachable from the unit germ by at most ``steps`` left
+    multiplications by terms of f with nonzero value.  The seed [1, w] is
+    always included; duplicates are pruned by the canonical germ key, so
+    terms that agree near the current range word contribute one germ.
+    """
+    seed = Germ(S_ONE, w)
+    germs = [seed]
+    seen = {seed.key()}
+    frontier = [seed]
+    for _ in range(steps):
+        nxt = []
+        for gm in frontier:
+            r = gm.range_word()
+            for t, _ in f.terms:
+                if not s_defined_at(t, r) or st_eval(f, Germ(t, r)) == 0:
+                    continue
+                prod = s_mul(t, gm.s)
+                key = germ_key(prod, w)
+                if key in seen:
+                    continue
+                seen.add(key)
+                new = Germ(prod, w)
+                germs.append(new)
+                nxt.append(new)
+        frontier = nxt
+        if not frontier:
+            break
+    return GermBasis(w, tuple(germs), tuple(germ_label(g) for g in germs))
+
+
+def lambda_matrix(f: SteinElt, basis: GermBasis) -> SparseOperator:
+    """Matrix of left convolution by f on the span of the basis germs.
+
+    Column j collects f(alpha) over the distinct germs alpha of terms of f
+    at the range word of gamma_j; the product germ alpha gamma_j indexes
+    the row.  A product germ outside the basis flags column j as boundary.
+    """
+    entries: dict[tuple[int, int], Fraction] = {}
+    boundary = set()
+    for j, gm in enumerate(basis.germs):
+        r = gm.range_word()
+        reps = {}
+        for t, _ in f.terms:
+            if s_defined_at(t, r):
+                reps.setdefault(germ_key(t, r), t)
+        for t in reps.values():
+            val = st_eval(f, Germ(t, r))
+            if val == 0:
+                continue
+            prod = s_mul(t, gm.s)
+            i = basis.index(germ_key(prod, basis.word))
+            if i is None:
+                boundary.add(j)
+            else:
+                entries[(i, j)] = entries.get((i, j), Fraction(0)) + val
+    return sparse_operator((len(basis), len(basis)), entries, boundary)
 
 
 def test_basis_rejects_duplicates_and_foreign_words():
@@ -145,6 +262,30 @@ def test_lambda_matrix_agrees_with_ball_truncation():
     lo1 = opnorm_lower(via_germs, tol=1e-12)
     lo2 = opnorm_lower(direct, tol=1e-12)
     assert lo1.lower == pytest.approx(lo2.lower, abs=1e-9)
+
+
+def test_stein_H_norm_bound_matches_germ_oracle():
+    # stein_H_norm_bound never builds germs: it takes |sum of coefficients|
+    # for y-rooted words and a ball truncation of the free group for
+    # z-rooted ones; orbit bases at a y- and a z-rooted word rebuild both
+    # parts from germs (two steps of b_1, b_2 reach the radius-4 ball)
+    w1, w2 = -1, 2
+    f = st_make(
+        [(s, w1 * c) for s, c in st_bn(1).terms]
+        + [(s, w2 * c) for s, c in st_bn(2).terms]
+    )
+    at_z = enumerate_orbit(f, finword(zl(1)), 2)
+    assert {g.s.g.h for g in at_z.germs} == set(ball(4))
+    m = lambda_matrix(f, at_z)
+    at_y = lambda_matrix(f, enumerate_orbit(f, Y_WORD, 2))
+    assert at_y.shape == (1, 1)
+    collapse = sum((c for _, _, c in at_y.entries), Fraction(0))
+    assert collapse == w1 + w2
+    est = stein_H_norm_bound(f, radius=4)
+    assert est.interior_cols == m.shape[1] - len(m.boundary_cols) == len(ball(2))
+    assert est.lower == pytest.approx(
+        max(float(abs(collapse)), opnorm_lower(m).lower), abs=1e-9
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +558,7 @@ def test_cauchy_profile_validation_and_edges():
     assert single.limit_rows == (LimitRow(2, Fraction(1, 12)),)
 
 
-def test_sup_distances_vanish_but_norms_do_not():
+def test_sup_distances_shrink_threefold_while_small_index_norms_exceed_half():
     # pointwise Cauchy: sup distances shrink by a factor 3 per index, while
     # for these small indices the certified norm lower bounds stay above
     # 0.5 (for growing n, m the norms do tend to 0, like n 3^(-n/2))
