@@ -705,7 +705,12 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
 @main.command()
 @_shared
 def scatter(example, indices, radius, tol, seed, out, fmt) -> None:
-    """Tabulate certified sphere-average norm estimates."""
+    """Tabulate certified sphere-average norm estimates.
+
+    The walk norms belong to the free factor on c, d, which both examples
+    share, and nothing is sampled: --example and --seed are only echoed
+    into the report's config.
+    """
     rows = []
     for n in indices:
         est = rho_estimate(sphere(n), radius=radius, tol=tol)

@@ -12,19 +12,26 @@ Everything here returns quantities with a stated side:
 
 Truncations are to balls in the rank-two free group on c, d.  A column of
 a truncated matrix whose image would leave the ball is flagged as a
-boundary column and excluded from the certified iteration.
+boundary column and excluded from the certified iteration.  The
+iteration runs on numpy arrays of the interior entries: A v and A^T u are
+``np.bincount`` sums over those entries, in entry order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+# OpenBLAS's worker threads spin for about 0.1 s of CPU after numpy
+# starts, and one thread is faster on the small SVDs done here; a value
+# the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
-import scipy.sparse as sp
 
 from .bundle import (
     BSteinElt,
@@ -50,23 +57,22 @@ class SparseOperator:
 
     Entry (i, j, c) means c in row i, column j.  Boundary columns are
     those whose true image is not captured by the rows; certified lower
-    bounds iterate on vectors supported away from them, and ``to_csr``
-    drops every entry of a boundary column.
+    bounds iterate on vectors supported away from them, and
+    ``interior_arrays`` drops every entry of a boundary column.
     """
 
     shape: tuple[int, int]
     entries: tuple[tuple[int, int, Fraction], ...]
     boundary_cols: frozenset[int] = frozenset()
 
-    def to_csr(self) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for i, j, c in self.entries:
-            if j in self.boundary_cols:
-                continue
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(c))
-        return sp.csr_matrix((vals, (rows, cols)), shape=self.shape)
+    def interior_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and float values of the entries outside boundary
+        columns, in the order of ``entries``."""
+        kept = [e for e in self.entries if e[1] not in self.boundary_cols]
+        rows = np.array([i for i, _, _ in kept], dtype=np.intp)
+        cols = np.array([j for _, j, _ in kept], dtype=np.intp)
+        vals = np.array([float(c) for _, _, c in kept], dtype=float)
+        return rows, cols, vals
 
 
 def sparse_operator(
@@ -99,8 +105,16 @@ class NormEstimate:
         return f"[{self.lower:.9f}, {up}]"
 
 
-def _power_lower(mat: sp.csr_matrix, tol: float, max_iter: int):
-    """Largest ||A v|| / ||v|| found over explicit vectors v.
+def _spmv(out_idx, in_idx, vals, x, size: int) -> np.ndarray:
+    """y[out_idx[k]] += vals[k] * x[in_idx[k]], summed in entry order.
+
+    With (rows, cols) this is A x; with (cols, rows) it is A^T x."""
+    return np.bincount(out_idx, vals * x[in_idx], size)
+
+
+def _power_lower(shape, rows, cols, vals, tol: float, max_iter: int):
+    """Largest ||A v|| / ||v|| found over explicit vectors v, for the
+    matrix A of the given shape with entries ``vals`` at ``(rows, cols)``.
 
     Small matrices certify the dense SVD's top right singular vector with
     one exact multiplication; larger ones iterate A^T A from a uniform
@@ -108,11 +122,12 @@ def _power_lower(mat: sp.csr_matrix, tol: float, max_iter: int):
     value is the best certified one.  Either way the result is witnessed
     by a vector whose image is computed directly.
     """
-    ncols = mat.shape[1]
-    if mat.nnz == 0 or ncols == 0:
+    nrows, ncols = shape
+    if len(vals) == 0 or ncols == 0:
         return 0.0, 0
-    if max(mat.shape) <= 600:
-        dense = mat.toarray()
+    if max(shape) <= 600:
+        dense = np.zeros(shape)
+        np.add.at(dense, (rows, cols), vals)
         v = np.linalg.svd(dense)[2][0]
         return float(np.linalg.norm(dense @ v) / np.linalg.norm(v)), 1
     v = np.full(ncols, 1.0 / math.sqrt(ncols))
@@ -120,11 +135,11 @@ def _power_lower(mat: sp.csr_matrix, tol: float, max_iter: int):
     sigma = 0.0
     it = 0
     for it in range(1, max_iter + 1):
-        u = mat @ v
+        u = _spmv(rows, cols, vals, v, nrows)
         sigma = float(np.linalg.norm(u))
         if sigma == 0.0:
             return 0.0, it
-        w = mat.T @ u
+        w = _spmv(cols, rows, vals, u, ncols)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             break
@@ -143,7 +158,7 @@ def opnorm_lower(
 ) -> NormEstimate:
     """Certified lower bound for the operator norm: power iteration on the
     matrix with boundary columns dropped, so every image is exact."""
-    sigma, iters = _power_lower(op.to_csr(), tol, max_iter)
+    sigma, iters = _power_lower(op.shape, *op.interior_arrays(), tol, max_iter)
     interior = op.shape[1] - len(op.boundary_cols)
     return NormEstimate(sigma, None, iters, truncation_radius, interior)
 
@@ -211,7 +226,8 @@ def _radial_sphere1_sigma(radius: int, tol: float, max_iter: int):
         mat[col + 1, col] = 0.5 if col == 0 else off
         if col >= 1:
             mat[col - 1, col] = 0.5 if col == 1 else off
-    return _power_lower(sp.csr_matrix(mat), tol, max_iter)
+    nz = np.nonzero(mat)
+    return _power_lower(mat.shape, *nz, mat[nz], tol, max_iter)
 
 
 def rho_estimate(
@@ -254,18 +270,20 @@ def rho_estimate(
     # a symmetric K cannot shrink every word at once (w would have to start
     # with every k), so below the minimum step length no column is interior
     if radius < min(len(k.chars) for k in ks):
-        return NormEstimate(0.0, upper, 0, radius)
+        return NormEstimate(0.0, upper, 0, radius, 0)
 
     if sphere_n == 1:
         sigma, iters = _radial_sphere1_sigma(radius, tol, max_iter)
+        # the interior columns are the words of ball(radius - 1)
+        interior = 2 * 3 ** (radius - 1) - 1
     else:
         coeffs: dict[FreeWord, Fraction] = {}
         unit = Fraction(1, len(ks))
         for k in ks:
             coeffs[k] = coeffs.get(k, Fraction(0)) + unit
         est = opnorm_lower(h_ball_operator(coeffs, radius), tol, max_iter)
-        sigma, iters = est.lower, est.iterations
-    return NormEstimate(sigma, upper, iters, radius)
+        sigma, iters, interior = est.lower, est.iterations, est.interior_cols
+    return NormEstimate(sigma, upper, iters, radius, interior)
 
 
 # ---------------------------------------------------------------------------

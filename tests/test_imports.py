@@ -1,12 +1,21 @@
-"""Every name a ``steinalg`` module imports is read somewhere in it.
+"""What the ``steinalg`` modules import.
 
-No linter ships with the toolchain, so this walks each module's syntax
-tree: an imported binding that never appears as a name (alone or as the
-root of an attribute chain) is dead.  ``__future__`` imports are skipped,
-and so are the package ``__init__``'s re-exports listed in ``__all__``.
+Every name a module imports is read somewhere in it.  No linter ships
+with the toolchain, so this walks each module's syntax tree: an imported
+binding that never appears as a name (alone or as the root of an
+attribute chain) is dead.  ``__future__`` imports are skipped, and so are
+the package ``__init__``'s re-exports listed in ``__all__``.
+
+The command line runs on click and numpy alone: a fresh interpreter that
+imports ``steinalg.cli`` loads no scipy module, and numpy starts with one
+OpenBLAS thread unless the caller chose otherwise.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "steinalg"
@@ -42,3 +51,28 @@ def test_no_module_imports_an_unused_name():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def _fresh_import(env_threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if env_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_threads
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import json, os, sys\n"
+        "import steinalg.cli\n"
+        "print(json.dumps({'threads': os.environ.get('OPENBLAS_NUM_THREADS'),"
+        " 'scipy': sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.'))}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def test_cli_import_loads_no_scipy_and_one_blas_thread():
+    assert _fresh_import(None) == {"threads": "1", "scipy": []}
+    assert _fresh_import("2") == {"threads": "2", "scipy": []}

@@ -331,6 +331,39 @@ def test_opnorm_ignores_boundary_columns():
     empty = sparse_operator((2, 2), {(0, 1): Fraction(100)}, {1})
     est = opnorm_lower(empty)
     assert est.lower == 0.0 and est.iterations == 0
+    # every column boundary, on both sides of the dense-SVD cut
+    for n in (5, 700):
+        entries = {(i, (i + 1) % n): Fraction(3) for i in range(n)}
+        est = opnorm_lower(sparse_operator((n, n), entries, range(n)))
+        assert (est.lower, est.iterations, est.interior_cols) == (0.0, 0, 0)
+
+
+def test_kernel_products_match_dense_oracle():
+    # A v and A^T u over the interior arrays against the dense matrix of
+    # oracle_sigma_max, on both sides of the dense-SVD cut of 600 columns
+    rng = random.Random(17)
+    for rows, cols in ((40, 37), (300, 590), (650, 700), (900, 640)):
+        entries = {
+            (rng.randrange(rows), rng.randrange(cols)): Fraction(
+                rng.randrange(-9, 10), rng.randrange(1, 8)
+            )
+            for _ in range(6 * cols)
+        }
+        boundary = {j for j in range(cols) if rng.random() < 0.3}
+        op = sparse_operator((rows, cols), entries, boundary)
+        dense = np.zeros(op.shape)
+        for i, j, c in op.entries:
+            if j not in op.boundary_cols:
+                dense[i, j] += float(c)
+        r, c, vals = op.interior_arrays()
+        assert len(vals) == np.count_nonzero(dense) > 0
+        nprng = np.random.default_rng(rows)
+        v = nprng.standard_normal(cols)
+        u = nprng.standard_normal(rows)
+        av = repnorm._spmv(r, c, vals, v, rows)
+        atu = repnorm._spmv(c, r, vals, u, cols)
+        assert np.max(np.abs(av - dense @ v)) <= 1e-12
+        assert np.max(np.abs(atu - dense.T @ u)) <= 1e-12
 
 
 def test_opnorm_power_path_matches_oracle():
@@ -389,6 +422,20 @@ def test_rho_sphere_one_matches_generic_truncation():
         fast = rho_estimate(sphere(1), radius=radius, tol=1e-12)
         generic = opnorm_lower(h_ball_operator(coeffs, radius), tol=1e-12)
         assert fast.lower == pytest.approx(generic.lower, abs=1e-9)
+
+
+def test_rho_reports_interior_columns_of_its_ball_operator():
+    # the radial path reports the interior count of the ball truncation
+    # it stands for, and below the minimum step length there is none
+    coeffs = {h: Fraction(1, 4) for h in sphere(1)}
+    for radius in range(1, 6):
+        est = rho_estimate(sphere(1), radius=radius)
+        generic = opnorm_lower(h_ball_operator(coeffs, radius))
+        assert est.interior_cols == generic.interior_cols == len(ball(radius - 1))
+    coeffs = {h: Fraction(1, 12) for h in sphere(2)}
+    assert rho_estimate(sphere(2), radius=1).interior_cols == 0
+    assert opnorm_lower(h_ball_operator(coeffs, 1)).interior_cols == 0
+    assert rho_estimate(sphere(2), radius=4).interior_cols == len(ball(2))
 
 
 def test_rho_sphere_one_frozen_truncation_values():
