@@ -12,7 +12,8 @@ Submodules:
 - bundle: the group-bundle groupoid, its convolution algebra and the
   scattering elements
 - repnorm: certified two-sided reduced-norm estimates
-- syntax: parsers and printers for the expression and unit-set grammars
+- syntax: parsers for the expression and unit-set grammars, into which
+  every value prints back
 - cli: the `steinalg` command (verify / scatter / eval)
 """
 

@@ -148,26 +148,31 @@ class BUnitSet:
         )
 
     def __str__(self) -> str:
+        """The unit-set grammar of ``syntax``; parse_buset inverts it."""
         if self.is_empty():
             return "{}"
-        parts = []
+        patches = []
         if self.eps:
-            parts.append("eps")
-            if self.zs:
-                parts.append("Z-" + "{" + ",".join(str(k) for k in sorted(self.zs)) + "}")
-            else:
-                parts.append("Z")
-        elif self.zs:
-            parts.append("{" + ",".join(f"z[{k}]" for k in sorted(self.zs)) + "}")
-        for i, (has_y, js) in self.cols:
-            if has_y:
-                ex = "-" + "{" + ",".join(str(j) for j in sorted(js)) + "}" if js else ""
-                parts.append(f"col[{i}]{ex}")
-            else:
-                parts.append("{" + ",".join(f"x[{i},{j}]" for j in sorted(js)) + "}")
-        if self.eps:
-            parts.append("cols*" if not self.cols else "other-cols")
-        return " u ".join(parts)
+            removals = [f"z[{k}]" for k in sorted(self.zs)]
+            addbacks = []
+            for i, (has_y, js) in self.cols:
+                if has_y:
+                    removals.extend(f"x[{i},{j}]" for j in sorted(js))
+                else:
+                    removals.append(f"col[{i}]")
+                    addbacks.extend(f"x[{i},{j}]" for j in sorted(js))
+            body = "eps" if not removals else "eps;{" + ",".join(removals) + "}"
+            patches.append(f"U({body})")
+            patches.extend(addbacks)
+        else:
+            patches.extend(f"z[{k}]" for k in sorted(self.zs))
+            for i, (has_y, js) in self.cols:
+                if has_y:
+                    rem = ";{" + ",".join(f"x[{i},{j}]" for j in sorted(js)) + "}" if js else ""
+                    patches.append(f"U(y[{i}]{rem})")
+                else:
+                    patches.extend(f"x[{i},{j}]" for j in sorted(js))
+        return " u ".join(patches)
 
 
 def buset(
@@ -364,21 +369,6 @@ def bstein_scale(f: BSteinElt, c: Union[Fraction, int]) -> BSteinElt:
 
 def bstein_sub(f: BSteinElt, g: BSteinElt) -> BSteinElt:
     return bstein_add(f, bstein_scale(g, -1))
-
-
-def bundle_restrict_F(f: BSteinElt) -> BSteinElt:
-    """Restriction to the closed half F = Z u {eps}; kills chi_B exactly."""
-    flag = _flag_meet(f.flag, FLAG_F)
-    if flag is None:
-        return B_ZERO
-    return bstein(f.terms, flag)
-
-
-def bundle_restrict_B(f: BSteinElt) -> BSteinElt:
-    flag = _flag_meet(f.flag, FLAG_B)
-    if flag is None:
-        return B_ZERO
-    return bstein(f.terms, flag)
 
 
 # ---------------------------------------------------------------------------

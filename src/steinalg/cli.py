@@ -87,7 +87,7 @@ from .steinberg import (
     st_sub,
     st_sup_dist,
 )
-from .syntax import ParseError, format_buset, parse_buset, parse_selt
+from .syntax import ParseError, parse_buset, parse_selt
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "STEINALG_OUT_DIR"
@@ -577,7 +577,7 @@ def _indices_cb(ctx, param, value):
     if value.strip() == "":
         return ()
     try:
-        out = tuple(int(p) for p in value.split(","))
+        out = tuple(sorted({int(p) for p in value.split(",")}))
     except ValueError:
         raise click.BadParameter(f"not a comma list of integers: {value!r}")
     if any(n < 1 for n in out):
@@ -774,7 +774,7 @@ def eval_cmd(expression, example) -> None:
         if example == "selfsim":
             click.echo(str(parse_selt(expression)))
         else:
-            click.echo(format_buset(parse_buset(expression)))
+            click.echo(str(parse_buset(expression)))
     except ParseError as exc:
         click.echo(exc.diagnostic(), err=True)
         sys.exit(2)

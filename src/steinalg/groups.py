@@ -95,10 +95,6 @@ def free_mul(u: FreeWord, v: FreeWord) -> FreeWord:
     return _reduced(a[: len(a) - k] + b[k:])
 
 
-def free_inv(u: FreeWord) -> FreeWord:
-    return u.inv()
-
-
 @dataclass(frozen=True)
 class GElt:
     """Element (h, f, n, m) of G = H x F x Z x Z."""

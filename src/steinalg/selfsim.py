@@ -264,10 +264,6 @@ S_ZERO = SElt(zero=True)
 S_ONE = SElt()
 
 
-def s_triple(alpha: FinWord, g: GElt, beta: FinWord) -> SElt:
-    return SElt(alpha=alpha, g=g, beta=beta)
-
-
 def s_from_group(g: GElt) -> SElt:
     return SElt(g=g)
 
@@ -348,18 +344,8 @@ class Germ:
         if not s_defined_at(self.s, self.word):
             raise ValueError(f"germ undefined: {self.s} at {self.word}")
 
-    def range_word(self) -> Word:
-        return s_apply(self.s, self.word)
-
-    def key(self):
-        return germ_key(self.s, self.word)
-
     def __str__(self) -> str:
         return f"[{self.s}, {self.word}]"
-
-
-def germ(s: SElt, w: Word) -> Germ:
-    return Germ(s, w)
 
 
 def germ_key(s: SElt, w: Word):
@@ -397,15 +383,11 @@ def germ_eq(s: SElt, t: SElt, w: Word) -> bool:
 
 @dataclass(frozen=True)
 class FamilyFix:
-    """How a group element fixes one letter family.
-
-    status 'cofinite' with the (here always empty) exceptional index set,
-    or 'nowhere'.  This action fixes a family strongly either entirely or
-    not at all; the exceptions field keeps the report shape uniform.
-    """
+    """How a group element fixes one letter family: status 'cofinite' or
+    'nowhere'.  This action fixes a family strongly either entirely or not
+    at all."""
 
     status: str
-    exceptions: tuple = ()
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .selfsim import (
     omega,
     s_defined_at,
     s_from_group,
-    s_inv,
     s_mul,
     s_proj,
 )
@@ -97,9 +96,6 @@ class SteinElt:
         return body if self.region == FULL_REGION else f"({body})|{self.region}"
 
 
-ST_ZERO = SteinElt()
-
-
 def st_make(
     terms: Iterable[tuple[SElt, Union[Fraction, int]]],
     region: Region = FULL_REGION,
@@ -143,14 +139,6 @@ def st_conv(f: SteinElt, g: SteinElt) -> SteinElt:
         for t, d in g.terms:
             prods.append((s_mul(s, t), c * d))
     return st_make(prods, g.region)
-
-
-def st_star(f: SteinElt) -> SteinElt:
-    """Involution; defined for unrestricted elements (the adjoint of a
-    right restriction is a left restriction, which the type cannot carry)."""
-    if not f.region.is_unrestricted() and f.terms:
-        raise ValueError("star of a region-restricted element is not representable")
-    return st_make([(s_inv(s), c) for s, c in f.terms], f.region)
 
 
 def st_eval(f: SteinElt, g: Germ) -> Fraction:
@@ -200,10 +188,6 @@ def st_chiB() -> SteinElt:
     return st_make([(S_ONE, Fraction(1))], Region(REGION_B))
 
 
-def st_chiC() -> SteinElt:
-    return st_make([(S_ONE, Fraction(1))], Region(REGION_C))
-
-
 def st_chi_cylinder(alpha: FinWord) -> SteinElt:
     """Indicator of the unit cylinder at alpha, as a projection term."""
     return st_make([(s_proj(alpha), Fraction(1))])
@@ -231,9 +215,6 @@ class SupportStratum:
     members: tuple[SElt, ...]
     value: Fraction
     interior: bool
-
-    def rep_germ(self) -> Germ:
-        return Germ(self.base, self.rep_word)
 
     def __str__(self) -> str:
         pat = ".".join(

@@ -1,4 +1,4 @@
-"""Text syntax for the CLI: parsing and printing of algebra values.
+"""Text syntax for the CLI: parsing of algebra values.
 
 Expression grammar over the self-similar semigroup (whitespace ignored):
 
@@ -33,25 +33,19 @@ Unit-set grammar for the group bundle:
 A bare x- or z-unit is its singleton; y-units and eps are limits, so they
 only occur closed up: U(y[3];{x[3,1]}) is the column at 3 without x[3,1],
 U(eps) is the whole unit space, and removals take out isolated points or
-whole columns (col[i]).  Steinberg elements serialize to JSON lists of
-{term, coeff, region} records with exact rational coefficients.
+whole columns (col[i]).  Unit sets print back into this grammar too:
+str(parse_buset(text)) is the canonical form of text.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from typing import Optional, Union
 
 from .bundle import (
-    BArrow,
-    BSteinElt,
     BUnit,
     BUnitSet,
     EMPTY_SET,
     U_EPS,
-    barrow,
-    bstein,
     buset,
     buset_intersect,
     buset_union,
@@ -60,8 +54,7 @@ from .bundle import (
     uz,
 )
 from .groups import FreeWord, GElt, KElt, free_word
-from .selfsim import EPS, FinWord, Letter, OmegaWord, SElt, S_ONE, S_ZERO, omega
-from .steinberg import FULL_REGION, Region, SteinElt, st_make
+from .selfsim import FinWord, Letter, SElt, S_ONE, S_ZERO
 
 
 class ParseError(ValueError):
@@ -209,28 +202,8 @@ def _parse_group_tuple(cur: _Cursor) -> Union[GElt, KElt]:
     raise cur.error("tuples have 2, 3 or 4 components", start)
 
 
-def parse_gelt(text: str) -> GElt:
-    cur = _Cursor(text)
-    val = _parse_group_tuple(cur)
-    if not cur.at_end():
-        raise cur.error("trailing input")
-    if isinstance(val, KElt):
-        raise cur.error("expected a group element, got a K-element", 0)
-    return val
-
-
-def parse_kelt(text: str) -> KElt:
-    cur = _Cursor(text)
-    val = _parse_group_tuple(cur)
-    if not cur.at_end():
-        raise cur.error("trailing input")
-    if isinstance(val, GElt):
-        raise cur.error("expected a K-element, got a group element", 0)
-    return val
-
-
 # ---------------------------------------------------------------------------
-# letters and words
+# letters
 # ---------------------------------------------------------------------------
 
 
@@ -258,52 +231,6 @@ def _parse_letter(cur: _Cursor) -> Letter:
             out = Letter("z", channel, KElt(n=_parse_int(cur)))
     cur.expect("]")
     return out
-
-
-def parse_letter(text: str) -> Letter:
-    cur = _Cursor(text)
-    out = _parse_letter(cur)
-    if not cur.at_end():
-        raise cur.error("trailing input")
-    return out
-
-
-def _parse_finword(cur: _Cursor) -> FinWord:
-    if cur.peek() == "1":
-        cur.eat()
-        return EPS
-    letters = [_parse_letter(cur)]
-    while cur.peek() == ".":
-        save = cur.pos
-        cur.eat()
-        if cur.peek() not in "yzx":
-            cur.pos = save
-            break
-        letters.append(_parse_letter(cur))
-    return FinWord(tuple(letters))
-
-
-def parse_word(text: str) -> Union[FinWord, OmegaWord]:
-    """A finite word, or an eventually periodic one: head.(period)^w."""
-    cur = _Cursor(text)
-    head = EPS
-    if cur.peek() not in ("", "("):
-        head = _parse_finword(cur)
-        if cur.peek() == ".":
-            cur.eat()
-    if cur.peek() == "(":
-        cur.eat()
-        period = _parse_finword(cur)
-        cur.expect(")")
-        cur.expect("^")
-        if cur.eat() != "w":
-            raise cur.error("expected 'w' after '^'")
-        if not cur.at_end():
-            raise cur.error("trailing input")
-        return omega(head, period)
-    if not cur.at_end():
-        raise cur.error("trailing input")
-    return head
 
 
 # ---------------------------------------------------------------------------
@@ -388,63 +315,7 @@ def parse_selt(text: str) -> SElt:
 
 
 # ---------------------------------------------------------------------------
-# regions and Steinberg element JSON
-# ---------------------------------------------------------------------------
-
-
-def format_region(r: Region) -> str:
-    if not r.removed:
-        return r.kind
-    return r.kind + "-{" + ",".join(str(w) for w in r.removed) + "}"
-
-
-def parse_region(text: str) -> Region:
-    cur = _Cursor(text)
-    kind = ""
-    while cur.peek().isalpha():
-        kind += cur.eat()
-    if kind not in ("full", "B", "C"):
-        raise cur.error("region kind must be full, B or C", 0)
-    removed = []
-    if cur.peek() == "-":
-        cur.eat()
-        cur.expect("{")
-        while True:
-            removed.append(_parse_finword(cur))
-            if cur.peek() != ",":
-                break
-            cur.eat()
-        cur.expect("}")
-    if not cur.at_end():
-        raise cur.error("trailing input")
-    return Region(kind, tuple(removed))
-
-
-def stein_to_json(f: SteinElt) -> str:
-    records = [
-        {"term": str(s), "coeff": str(c), "region": format_region(f.region)}
-        for s, c in f.terms
-    ]
-    return json.dumps(records, indent=2)
-
-
-def stein_from_json(text: str) -> SteinElt:
-    records = json.loads(text)
-    if not isinstance(records, list):
-        raise ValueError("expected a JSON list of term records")
-    terms = []
-    regions = set()
-    for rec in records:
-        terms.append((parse_selt(rec["term"]), Fraction(rec["coeff"])))
-        regions.add(rec["region"])
-    if len(regions) > 1:
-        raise ValueError("term records carry conflicting regions")
-    region = parse_region(regions.pop()) if regions else FULL_REGION
-    return st_make(terms, region)
-
-
-# ---------------------------------------------------------------------------
-# bundle units, arrows and set expressions
+# bundle units and set expressions
 # ---------------------------------------------------------------------------
 
 
@@ -466,59 +337,6 @@ def _parse_bunit(cur: _Cursor) -> BUnit:
         return ux(i, j)
     cur.expect("]")
     return uy(i) if kind == "y" else uz(i)
-
-
-def parse_bunit(text: str) -> BUnit:
-    cur = _Cursor(text)
-    out = _parse_bunit(cur)
-    if not cur.at_end():
-        raise cur.error("trailing input")
-    return out
-
-
-def parse_barrow(text: str) -> BArrow:
-    cur = _Cursor(text)
-    cur.expect("(")
-    bit = _parse_int(cur)
-    cur.expect(",")
-    h = _parse_free(cur)
-    cur.expect(";")
-    unit = _parse_bunit(cur)
-    cur.expect(")")
-    if not cur.at_end():
-        raise cur.error("trailing input")
-    try:
-        return barrow(bit, h, unit)
-    except ValueError as exc:
-        raise cur.error(str(exc), 0)
-
-
-def format_buset(U: BUnitSet) -> str:
-    """Canonical printed form; parse_buset inverts it."""
-    if U.is_empty():
-        return "{}"
-    patches = []
-    if U.eps:
-        removals = [f"z[{k}]" for k in sorted(U.zs)]
-        addbacks = []
-        for i, (has_y, js) in U.cols:
-            if has_y:
-                removals.extend(f"x[{i},{j}]" for j in sorted(js))
-            else:
-                removals.append(f"col[{i}]")
-                addbacks.extend(f"x[{i},{j}]" for j in sorted(js))
-        body = "eps" if not removals else "eps;{" + ",".join(removals) + "}"
-        patches.append(f"U({body})")
-        patches.extend(addbacks)
-    else:
-        patches.extend(f"z[{k}]" for k in sorted(U.zs))
-        for i, (has_y, js) in U.cols:
-            if has_y:
-                rem = ";{" + ",".join(f"x[{i},{j}]" for j in sorted(js)) + "}" if js else ""
-                patches.append(f"U(y[{i}]{rem})")
-            else:
-                patches.extend(f"x[{i},{j}]" for j in sorted(js))
-    return " u ".join(patches)
 
 
 def _patch_from_unit(u: BUnit, cur: _Cursor, start: int) -> BUnitSet:
@@ -633,31 +451,3 @@ def parse_buset(text: str) -> BUnitSet:
     return out
 
 
-def bstein_to_json(f: BSteinElt) -> str:
-    doc = {
-        "flag": f.flag,
-        "terms": [
-            {
-                "bit": bit,
-                "h": str(h) if not h.is_identity() else "1",
-                "coeff": str(c),
-                "region": format_buset(region),
-            }
-            for bit, h, c, region in f.terms
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def bstein_from_json(text: str) -> BSteinElt:
-    doc = json.loads(text)
-    terms = []
-    for rec in doc["terms"]:
-        cur = _Cursor(rec["h"])
-        h = _parse_free(cur)
-        if not cur.at_end():
-            raise cur.error("trailing input")
-        terms.append(
-            (int(rec["bit"]), h, Fraction(rec["coeff"]), parse_buset(rec["region"]))
-        )
-    return bstein(terms, doc.get("flag", "full"))

@@ -34,8 +34,6 @@ from steinalg.bundle import (
     bundle_chi,
     bundle_chiB,
     bundle_is_singular,
-    bundle_restrict_B,
-    bundle_restrict_F,
     bundle_sup_dist,
     buset,
     buset_intersect,
@@ -388,15 +386,23 @@ def test_sup_dist_reflexive(f):
 # ---------------------------------------------------------------------------
 
 
+def chi_half(flag):
+    """Indicator of the unit arrows over one closed-open half; in a bundle
+    it is a central idempotent, so convolving with it restricts."""
+    return bstein([(0, W_ONE, 1, WHOLE_SET)], flag)
+
+
 def test_restrict_F_kills_chiB():
-    assert bundle_restrict_F(bundle_chiB()) == B_ZERO
-    assert bundle_restrict_F(bstein_conv(bundle_a(), bundle_chiB())) == B_ZERO
+    chiF = chi_half(FLAG_F)
+    assert bstein_conv(bundle_chiB(), chiF) == B_ZERO
+    assert bstein_conv(bstein_conv(bundle_a(), bundle_chiB()), chiF) == B_ZERO
 
 
 def test_restrict_halves():
     f = bstein_conv(bundle_a(), bundle_bn(1))
-    fF = bundle_restrict_F(f)
-    fB = bundle_restrict_B(f)
+    fF = bstein_conv(f, chi_half(FLAG_F))
+    fB = bstein_conv(f, chi_half(FLAG_B))
+    assert fF == bstein(f.terms, FLAG_F) and fB == bstein(f.terms, FLAG_B)
     h = sphere(1)[0]
     assert bstein_eval(fF, barrow(0, h, uz(0))) == bstein_eval(f, barrow(0, h, uz(0)))
     assert bstein_eval(fF, barrow(0, W_ONE, uy(0))) == 0

@@ -145,6 +145,16 @@ def test_scatter_fails_on_a_lower_bound_above_the_upper(monkeypatch):
     assert status["lower-below-upper"] == "fail"
 
 
+def test_scatter_sorts_and_deduplicates_the_index_list():
+    # the rows follow the index set, not the order it was typed in
+    want = run("scatter", "--indices", "1,2", "--radius", "3")
+    assert want.exit_code == 0
+    for typed in ("2,1", "1,2,2"):
+        res = run("scatter", "--indices", typed, "--radius", "3")
+        assert res.exit_code == 0
+        assert res.stdout == want.stdout
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from steinalg.groups import (
     K_ONE,
     W_ONE,
     ball,
-    free_inv,
     free_mul,
     free_word,
     group_inv,
@@ -101,8 +100,8 @@ def test_unreduced_construction_rejected():
 
 
 def test_inverse_frozen_cases():
-    assert free_inv(free_word("ab")).chars == "BA"
-    assert free_inv(free_word("cDd")) == free_word("C")
+    assert free_word("ab").inv().chars == "BA"
+    assert free_word("cDd").inv() == free_word("C")
     assert str(W_ONE) == "1"
 
 

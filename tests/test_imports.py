@@ -1,10 +1,15 @@
-"""What the ``steinalg`` modules import.
+"""What the ``steinalg`` modules import and define.
 
 Every name a module imports is read somewhere in it.  No linter ships
 with the toolchain, so this walks each module's syntax tree: an imported
 binding that never appears as a name (alone or as the root of an
 attribute chain) is dead.  ``__future__`` imports are skipped, and so are
 the package ``__init__``'s re-exports listed in ``__all__``.
+
+Every module-level function, class or assigned name is used by the
+package itself: some module reads it (as a name, an attribute or a
+relative import), ``__all__`` exports it, or it is a decorated function
+such as a click command.  A name that only tests reach is dead surface.
 
 The command line runs on click and numpy alone: a fresh interpreter that
 imports ``steinalg.cli`` loads no scipy module, and numpy starts with one
@@ -21,21 +26,63 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "steinalg"
 
 
+def exports(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: set[str] = set()
-    exported: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(imported - read - exported)
+    return sorted(imported - read - exports(tree))
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    """Module-level names a statement defines, minus decorated functions."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [] if node.decorator_list else [node.name]
+    if isinstance(node, ast.ClassDef):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+
+
+def unused_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level definition the package never
+    loads and does not export."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used: set[str] = set()
+    for tree in trees.values():
+        used |= exports(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                used.update(a.name for a in node.names)
+    return sorted(
+        f"{mod}.{name}"
+        for mod, tree in trees.items()
+        for node in tree.body
+        for name in defined_names(node)
+        if name not in used
+    )
 
 
 def test_no_module_imports_an_unused_name():
@@ -51,6 +98,19 @@ def test_no_module_imports_an_unused_name():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_every_module_level_name_is_used():
+    sample = {
+        "a": (
+            "from .b import f\n__all__ = ['g']\ndef g(): pass\ndef h(): pass\n"
+            "@command\ndef cmd(): pass\nX = 1\nY: int = 2\nprint(Y)\n"
+        ),
+        "b": "def f(): pass\ndef k(): pass\nclass C: pass\nobj.C\n",
+    }
+    assert unused_names(sample) == ["a.X", "a.h", "b.k"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unused_names(sources) == []
 
 
 def _fresh_import(env_threads):

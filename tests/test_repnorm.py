@@ -53,6 +53,7 @@ from steinalg.selfsim import (
     finword,
     germ_key,
     omega,
+    s_apply,
     s_defined_at,
     s_from_group,
     s_mul,
@@ -96,7 +97,7 @@ def oracle_sigma_max(op) -> float:
 def germ_label(g: Germ) -> str:
     """Class of the germ's range word: 'B' (y-rooted), 'C' (z-rooted), or
     'eps' (the empty finite word)."""
-    r = g.range_word()
+    r = s_apply(g.s, g.word)
     if isinstance(r, FinWord):
         if len(r) == 0:
             return "eps"
@@ -120,7 +121,7 @@ class GermBasis:
         for i, g in enumerate(self.germs):
             if g.word != self.word:
                 raise ValueError("basis germs must share the base word")
-            key = g.key()
+            key = germ_key(g.s, g.word)
             if key in by_key:
                 raise ValueError("basis germs must be pairwise distinct")
             by_key[key] = i
@@ -141,12 +142,12 @@ def enumerate_orbit(f: SteinElt, w: Word, steps: int) -> GermBasis:
     """
     seed = Germ(S_ONE, w)
     germs = [seed]
-    seen = {seed.key()}
+    seen = {germ_key(S_ONE, w)}
     frontier = [seed]
     for _ in range(steps):
         nxt = []
         for gm in frontier:
-            r = gm.range_word()
+            r = s_apply(gm.s, gm.word)
             for t, _ in f.terms:
                 if not s_defined_at(t, r) or st_eval(f, Germ(t, r)) == 0:
                     continue
@@ -174,7 +175,7 @@ def lambda_matrix(f: SteinElt, basis: GermBasis) -> SparseOperator:
     entries: dict[tuple[int, int], Fraction] = {}
     boundary = set()
     for j, gm in enumerate(basis.germs):
-        r = gm.range_word()
+        r = s_apply(gm.s, gm.word)
         reps = {}
         for t, _ in f.terms:
             if s_defined_at(t, r):

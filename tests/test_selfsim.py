@@ -42,7 +42,6 @@ from steinalg.selfsim import (
     s_inv,
     s_mul,
     s_proj,
-    s_triple,
     strongly_fixed_spectrum,
     yl,
     zl,
@@ -86,7 +85,7 @@ omega_words = st.builds(
     st.builds(lambda ls: FinWord(tuple(ls)), st.lists(letters, min_size=1, max_size=3)),
 )
 words = st.one_of(fin_words, omega_words)
-s_elts = st.builds(s_triple, fin_words, g_elts, fin_words)
+s_elts = st.builds(SElt, fin_words, g_elts, fin_words)
 
 
 def A(chars):
@@ -231,9 +230,9 @@ def test_s_mul_frozen_cases():
     y0, y1 = yl(1, 0), yl(1, 1)
     a = A("a")
     # (y0 a) (y0^*) absorbs nothing: beta grows by the preimage of y0 under a
-    s = s_triple(finword(y0), a.g, EPS)
-    t = s_triple(EPS, G_ONE, finword(y0))
-    assert s_mul(s, t) == s_triple(finword(y0), a.g, finword(y0))
+    s = SElt(finword(y0), a.g, EPS)
+    t = SElt(EPS, G_ONE, finword(y0))
+    assert s_mul(s, t) == SElt(finword(y0), a.g, finword(y0))
     # projection meet: D(y0) D(y1) = 0
     assert s_mul(s_proj(finword(y0)), s_proj(finword(y1))) == S_ZERO
     # domain transport: a^{-1} arrives where a departs
@@ -265,7 +264,7 @@ def test_apply_roundtrip(s, w):
 
 
 def test_apply_undefined_raises():
-    s = s_triple(EPS, G_ONE, finword(yl(1, 0)))
+    s = SElt(EPS, G_ONE, finword(yl(1, 0)))
     with pytest.raises(ValueError):
         s_apply(s, finword(yl(1, 1)))
     with pytest.raises(ValueError):
@@ -294,7 +293,7 @@ def test_h_germs_collapse_over_y_only():
 
 
 def test_germ_undefined_raises():
-    s = s_triple(EPS, G_ONE, finword(yl(1, 0)))
+    s = SElt(EPS, G_ONE, finword(yl(1, 0)))
     with pytest.raises(ValueError):
         germ_eq(s, S_ONE, finword(zl(1, K_ONE)))
 
@@ -339,7 +338,6 @@ def test_spectrum_frozen_case():
     assert spec.family("y", 2).status == "nowhere"
     assert spec.family("z", 1).status == "cofinite"
     assert spec.family("z", 2).status == "nowhere"
-    assert spec.family("y", 1).exceptions == ()
 
 
 def test_spectrum_tau_obstruction():
