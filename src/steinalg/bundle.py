@@ -9,8 +9,8 @@ For a group element g = (bit, h) the global bisection U_g consists of the
 unit arrows over X, the bit-arrows over Y, and the (bit, h)-arrows over Z
 and eps.  Functions are finite rational combinations of indicators of
 U_g restricted to compact open unit sets, together with a symbolic
-restriction flag to one of the two closed-open halves B = X u Y and
-F = Z u {eps}; this keeps the indicator of the noncompact half B exact.
+restriction flag to the closed-open half B = X u Y; this keeps the
+indicator of the noncompact half B exact.
 
 Over one unit a function is a finite table of values on the fiber group,
 ``fiber_values``.  Evaluation, sup distances and singularity verdicts all
@@ -249,12 +249,10 @@ def buset_union(U: BUnitSet, V: BUnitSet) -> BUnitSet:
 
 FLAG_FULL = "full"
 FLAG_B = "B"  # X u Y
-FLAG_F = "F"  # Z u {eps}
 
 _FLAG_KINDS = {
     FLAG_FULL: ("x", "y", "z", "eps"),
     FLAG_B: ("x", "y"),
-    FLAG_F: ("z", "eps"),
 }
 
 BTerm = tuple[int, FreeWord, Fraction, BUnitSet]  # (bit, h, coeff, region)
@@ -327,21 +325,10 @@ def bstein_eval(f: BSteinElt, arrow: BArrow) -> Fraction:
     return fiber_values(f, arrow.unit).get((arrow.bit, arrow.h), Fraction(0))
 
 
-def _flag_meet(a: str, b: str) -> Optional[str]:
-    if a == b:
-        return a
-    if a == FLAG_FULL:
-        return b
-    if b == FLAG_FULL:
-        return a
-    return None  # B meet F is empty
-
-
 def bstein_conv(f: BSteinElt, g: BSteinElt) -> BSteinElt:
-    """Convolution; in a bundle arrows compose only over a shared unit."""
-    flag = _flag_meet(f.flag, g.flag)
-    if flag is None:
-        return B_ZERO
+    """Convolution; in a bundle arrows compose only over a shared unit,
+    so a product is restricted to B when either factor is."""
+    flag = g.flag if f.flag == FLAG_FULL else f.flag
     prods = []
     for b1, h1, c1, U in f.terms:
         for b2, h2, c2, V in g.terms:

@@ -67,6 +67,7 @@ from .selfsim import (
     finword,
     germ_key,
     omega,
+    s_apply,
     s_from_group,
     s_from_word,
     s_mul,
@@ -293,11 +294,7 @@ def _selfsim_witness(indices: tuple, rng: random.Random, checks: list) -> None:
             k = _sample_kelt(rng)
             while k in w.excluded:
                 k = _sample_kelt(rng)
-            tail = _sample_word(rng)
-            if isinstance(tail, FinWord):
-                word = finword(zl(w.channel, k), *tail.letters)
-            else:
-                word = omega(finword(zl(w.channel, k), *tail.head.letters), tail.period)
+            word = s_apply(s_from_word(finword(zl(w.channel, k))), _sample_word(rng))
             val = st_eval(abn, Germ(s_from_group(w.group_elt), word))
             if abs(val) != w.floor or val == 0:
                 bad = bad or f"witness value |{val}| != floor {w.floor} for a*b{n}"

@@ -8,8 +8,9 @@ The alphabet has letters ``y1[n], y2[n]`` indexed by integers and
 
 and extends to finite and eventually periodic infinite words by the
 self-similarity rule g(xw) = g(x) (g|_x)(w).  Because tau kills the free
-parts and tau(tau(g)) = 1, every restriction past two letters is trivial;
-germ computations below rely on that stabilization depth.
+parts and tau(tau(g)) = 1, every restriction past ``STABILIZATION_DEPTH``
+= 2 letters is trivial.  The action on omega words, the germ keys and the
+word classes of ``steinberg`` read no deeper into a word than that.
 
 S-elements are the partial transformations alpha g beta^* (prepend alpha,
 act by g, require and strip the prefix beta) together with a zero.
@@ -172,6 +173,9 @@ def omega(head: FinWord, period: FinWord) -> OmegaWord:
 # the action
 # ---------------------------------------------------------------------------
 
+# restrictions of any group element past this many letters are trivial
+STABILIZATION_DEPTH = 2
+
 
 def act_letter(g: GElt, x: Letter) -> Letter:
     if x.family == "y":
@@ -196,23 +200,11 @@ def act_word(g: GElt, w: FinWord) -> tuple[FinWord, GElt]:
 
 
 def act_omega(g: GElt, w: OmegaWord) -> OmegaWord:
-    head_img, r = act_word(g, w.head)
-    # iterate the restriction over the period until the state repeats
-    seen: dict[GElt, int] = {}
-    imgs: list[FinWord] = []
-    cur = r
-    while cur not in seen:
-        seen[cur] = len(imgs)
-        img, cur = act_word(cur, w.period)
-        imgs.append(img)
-    start = seen[cur]
-    head = head_img
-    for p in imgs[:start]:
-        head = head + p
-    per = EPS
-    for p in imgs[start:]:
-        per = per + p
-    return omega(head, per)
+    """Image of w under g.  Each period has a letter, so past the head and
+    ``STABILIZATION_DEPTH`` periods the restriction is trivial and the
+    period repeats unchanged."""
+    img, _ = act_word(g, w.prefix(len(w.head) + STABILIZATION_DEPTH * len(w.period)))
+    return omega(img, w.period)
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +344,28 @@ def germ_key(s: SElt, w: Word):
     """Canonical invariant: two elements have equal keys at w iff their
     germs at w agree.
 
-    For finite w the key is the image word together with the restriction of
-    g past the unconsumed part of w; for infinite w restrictions stabilize
-    to the identity within the compared prefix, so the image word plus the
-    weight |alpha| - |beta| determine the germ.
+    Let src be the prefix of w of length |beta| + ``STABILIZATION_DEPTH``
+    (all of w if shorter).  Past src the restriction is trivial unless w
+    ends first, so near w the map s replaces src by alpha + g(src past
+    beta) and keeps the rest of the word.  The key is the shift |alpha| -
+    |beta|, that image with its trailing letters stripped while they equal
+    the letters of w they replace, and the restriction past src.  The
+    stripping makes the key independent of how far s was cut down around
+    w, and the shift and the stripped image give back the whole image.
     """
     if not s_defined_at(s, w):
         raise ValueError(f"germ undefined: {s} at {w}")
-    if isinstance(w, FinWord):
-        img, residual = act_word(s.g, w[len(s.beta):])
-        return ("fin", s.alpha + img, residual)
-    return ("inf", s.weight(), s_apply(s, w))
+    src = w.prefix(len(s.beta) + STABILIZATION_DEPTH).letters
+    img, residual = act_word(s.g, FinWord(src[len(s.beta):]))
+    shift = s.weight()
+    head = s.alpha.letters + img.letters
+    while len(head) > max(shift, 0) and head[-1] == src[len(head) - 1 - shift]:
+        head = head[:-1]
+    return shift, head, residual
 
 
 def germ_eq(s: SElt, t: SElt, w: Word) -> bool:
-    """Whether s and t agree on a neighborhood of w.
-
-    Equivalent to comparing the normal forms of s gamma and t gamma for
-    the prefix gamma of w of length min(|w|, max(|beta_s|, |beta_t|) + 2):
-    restrictions past two letters are trivial, so agreement at that depth
-    is agreement on the whole cylinder.
-    """
+    """Whether s and t agree on a neighborhood of w (see :func:`germ_key`)."""
     return germ_key(s, w) == germ_key(t, w)
 
 

@@ -9,13 +9,13 @@ sup-distances, and the support analysis all run over finitely many strata:
 Words are classified by a pattern assigning each position either a letter
 written in some term's source prefix (or removed cylinder) or a generic
 letter of one of the four families.  Up to the stabilization length
-L = max source-prefix length + 2, the germ partition of the terms and all
-their values are constant across each pattern class: index arithmetic at a
-generic position cancels between any two terms compared there, and
-restrictions die after two letters.  Length-L classes absorb every longer
-and infinite word and are exactly the classes whose germ sets contain open
-cylinders, so a function is singular precisely when no nonzero stratum has
-full pattern length.
+L = max source-prefix length + ``STABILIZATION_DEPTH`` (two letters), the
+germ partition of the terms and all their values are constant across each
+pattern class: index arithmetic at a generic position cancels between any
+two terms compared there, and restrictions die after two letters.
+Length-L classes absorb every longer and infinite word and are exactly the
+classes whose germ sets contain open cylinders, so a function is singular
+precisely when no nonzero stratum has full pattern length.
 
 One lazy walk over these classes serves both folds, ``st_support_strata``
 and ``st_sup_dist``; each computes a term's germ key once per class.
@@ -32,6 +32,7 @@ from .selfsim import (
     FinWord,
     Germ,
     Letter,
+    STABILIZATION_DEPTH,
     S_ONE,
     SElt,
     Word,
@@ -241,7 +242,7 @@ def _word_classes(terms: tuple, cuts: tuple[FinWord, ...]):
     full-length classes are ``interior``, with an infinite representative.
     """
     elts = [t[0] for t in terms]
-    L = max([len(s.beta) + 2 for s in elts] + [len(r) for r in cuts])
+    L = max([len(s.beta) + STABILIZATION_DEPTH for s in elts] + [len(r) for r in cuts])
     written = [x for s in elts for x in s.alpha + s.beta]
     written.extend(x for r in cuts for x in r)
     ys = {x.index for x in written if x.family == "y"}

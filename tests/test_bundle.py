@@ -21,7 +21,6 @@ from steinalg.bundle import (
     BUnit,
     EMPTY_SET,
     FLAG_B,
-    FLAG_F,
     FLAG_FULL,
     WHOLE_SET,
     barrow,
@@ -90,7 +89,6 @@ def oracle_conv_at(f, g, arrow):
 ORACLE_FLAG_KINDS = {
     FLAG_FULL: ("x", "y", "z", "eps"),
     FLAG_B: ("x", "y"),
-    FLAG_F: ("z", "eps"),
 }
 
 
@@ -168,7 +166,7 @@ b_elts = st.builds(
     st.lists(
         st.tuples(st.integers(0, 1), h_words, fractions_, unit_sets), max_size=3
     ),
-    st.sampled_from([FLAG_FULL, FLAG_B, FLAG_F]),
+    st.sampled_from([FLAG_FULL, FLAG_B]),
 )
 fibers = st.tuples(st.integers(0, 1), h_words)
 grid_units = st.sampled_from(GRID)
@@ -386,29 +384,14 @@ def test_sup_dist_reflexive(f):
 # ---------------------------------------------------------------------------
 
 
-def chi_half(flag):
-    """Indicator of the unit arrows over one closed-open half; in a bundle
-    it is a central idempotent, so convolving with it restricts."""
-    return bstein([(0, W_ONE, 1, WHOLE_SET)], flag)
-
-
-def test_restrict_F_kills_chiB():
-    chiF = chi_half(FLAG_F)
-    assert bstein_conv(bundle_chiB(), chiF) == B_ZERO
-    assert bstein_conv(bstein_conv(bundle_a(), bundle_chiB()), chiF) == B_ZERO
-
-
 def test_restrict_halves():
+    # chiB is a central idempotent, so convolving with it restricts to B
     f = bstein_conv(bundle_a(), bundle_bn(1))
-    fF = bstein_conv(f, chi_half(FLAG_F))
-    fB = bstein_conv(f, chi_half(FLAG_B))
-    assert fF == bstein(f.terms, FLAG_F) and fB == bstein(f.terms, FLAG_B)
+    fB = bstein_conv(f, bundle_chiB())
+    assert fB == bstein(f.terms, FLAG_B) == bstein_conv(bundle_chiB(), f)
     h = sphere(1)[0]
-    assert bstein_eval(fF, barrow(0, h, uz(0))) == bstein_eval(f, barrow(0, h, uz(0)))
-    assert bstein_eval(fF, barrow(0, W_ONE, uy(0))) == 0
     assert bstein_eval(fB, barrow(0, W_ONE, uy(0))) == 1
     assert bstein_eval(fB, barrow(0, h, uz(0))) == 0
-    assert bundle_sup_dist(fF, f) == 1  # the y-values are what F-restriction drops
 
 
 def test_singularity_verdicts():

@@ -11,28 +11,39 @@ package itself: some module reads it (as a name, an attribute or a
 relative import), ``__all__`` exports it, or it is a decorated function
 such as a click command.  A name that only tests reach is dead surface.
 
+Every layer the benchmark traces (``LAYERS`` in ``bench/layertrace.py``)
+is a callable of its module, so a deletion that would leave the benchmark
+tracing an absent name fails here.
+
 The command line runs on click and numpy alone: a fresh interpreter that
 imports ``steinalg.cli`` loads no scipy module, and numpy starts with one
 OpenBLAS thread unless the caller chose otherwise.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "steinalg"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "steinalg"
+
+
+def literal(tree: ast.Module, name: str):
+    """The value of a module-level ``name = <literal>``, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
 
 
 def exports(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
+    return set(literal(tree, "__all__") or ())
 
 
 def unused_imports(source: str) -> list[str]:
@@ -111,6 +122,19 @@ def test_every_module_level_name_is_used():
     assert unused_names(sample) == ["a.X", "a.h", "b.k"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unused_names(sources) == []
+
+
+def test_every_traced_layer_is_defined():
+    tree = ast.parse((ROOT / "bench" / "layertrace.py").read_text())
+    layers = literal(tree, "LAYERS")
+    assert layers
+    absent = [
+        f"{mod}.{name}"
+        for mod, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"steinalg.{mod}"), name, None))
+    ]
+    assert absent == []
 
 
 def _fresh_import(env_threads):

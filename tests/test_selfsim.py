@@ -1,8 +1,9 @@
 """Action, S-products, and germ logic against independent oracles.
 
-The germ oracle below multiplies by an explicit prefix projection and
-compares normal forms at the stabilization depth; germ_eq must agree with
-it everywhere.
+Two germ oracles stand beside ``germ_key``: one multiplies by an explicit
+prefix projection and compares normal forms at the stabilization depth,
+the other keys a germ by the whole image word.  germ_eq and the equal-key
+relation must agree with both everywhere.
 """
 
 import pytest
@@ -33,6 +34,7 @@ from steinalg.selfsim import (
     effectiveness_witness,
     finword,
     germ_eq,
+    germ_key,
     omega,
     restrict_letter,
     s_apply,
@@ -61,6 +63,15 @@ def oracle_germ_eq(s, t, w):
     return s_mul(s, gamma) == s_mul(t, gamma)
 
 
+def oracle_germ_key(s, w):
+    """The full-image key: the whole image word, with the restriction past
+    a finite w and the weight for an infinite one."""
+    if isinstance(w, FinWord):
+        _, residual = act_word(s.g, w[len(s.beta):])
+        return ("fin", s_apply(s, w), residual)
+    return ("inf", s.weight(), s_apply(s, w))
+
+
 k_elts = st.builds(
     lambda h, f, n: KElt(free_word(h), free_word(f), n),
     st.sampled_from(["", "c", "D", "cd"]),
@@ -86,6 +97,7 @@ omega_words = st.builds(
 )
 words = st.one_of(fin_words, omega_words)
 s_elts = st.builds(SElt, fin_words, g_elts, fin_words)
+left_elts = st.one_of(st.just(S_ONE), st.builds(SElt, fin_words, g_elts))
 
 
 def A(chars):
@@ -299,13 +311,30 @@ def test_germ_undefined_raises():
 
 
 @settings(max_examples=300)
-@given(s_elts, s_elts, st.lists(letters, max_size=3), st.one_of(st.none(), omega_words))
-def test_germ_eq_matches_oracle(s, t, suffix, tail):
+@given(
+    s_elts,
+    s_elts,
+    left_elts,
+    st.lists(letters, max_size=3),
+    st.one_of(st.none(), omega_words),
+    st.integers(0, 3),
+)
+def test_germ_eq_matches_oracle(s, t, u, suffix, tail, cut):
     w = s.beta + FinWord(tuple(suffix))
-    if tail is not None:
+    if tail is not None and 0 < cut <= len(s.beta):
+        # the word repeats the last letters of beta, so the canonical head
+        # is shorter than beta and the key's prefix runs into the period
+        w = omega(s.beta, s.beta[-cut:])
+    elif tail is not None:
         w = omega(w, tail.period)
-    assume(s_defined_at(s, w) and s_defined_at(t, w))
-    assert germ_eq(s, t, w) == oracle_germ_eq(s, t, w)
+    # near's beta is longer by cut letters, and u has an empty beta, so
+    # near is defined at w
+    near = s_mul(u, s_mul(s, s_proj(w.prefix(len(s.beta) + cut))))
+    for other in (t, near):
+        if s_defined_at(other, w):
+            assert germ_eq(s, other, w) == oracle_germ_eq(s, other, w)
+            same_key = germ_key(s, w) == germ_key(other, w)
+            assert same_key == (oracle_germ_key(s, w) == oracle_germ_key(other, w))
 
 
 @given(s_elts, st.lists(letters, min_size=1, max_size=3))
