@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -99,10 +100,10 @@ OUT_DIR_ENV = "STEINALG_OUT_DIR"
 # ---------------------------------------------------------------------------
 
 
-def _sample_free(rng: random.Random, gens: tuple[str, ...], maxlen: int = 3) -> FreeWord:
+def _sample_free(rng: random.Random, gens: tuple[str, ...]) -> FreeWord:
     chars = "".join(
         rng.choice(gens + tuple(g.upper() for g in gens))
-        for _ in range(rng.randrange(maxlen + 1))
+        for _ in range(rng.randrange(4))
     )
     return free_word(chars)
 
@@ -589,8 +590,8 @@ def _radius_cb(ctx, param, value):
 
 
 def _tol_cb(ctx, param, value):
-    if value <= 0:
-        raise click.BadParameter("tolerance must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter("tolerance must be a positive finite number")
     return value
 
 

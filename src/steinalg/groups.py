@@ -211,16 +211,12 @@ def hom_zeta(i: int, g: GElt) -> int:
 # spheres and balls in a free group
 # ---------------------------------------------------------------------------
 
-def _signed_gens(gens: tuple[str, ...]) -> list[str]:
-    return [g for gen in gens for g in (gen, gen.upper())]
+def sphere(n: int) -> tuple[FreeWord, ...]:
+    """All reduced words over c, d of length exactly n >= 1, sorted
+    deterministically.
 
-
-def sphere(n: int, gens: tuple[str, ...] = H_GENS) -> tuple[FreeWord, ...]:
-    """All reduced words of length exactly n >= 1, sorted deterministically.
-
-    Size is 2r(2r-1)^(n-1) for rank r, so 4 * 3^(n-1) at rank 2.  n < 1 is
-    rejected: the length-0 sphere is the identity and never what a sphere
-    average means here.
+    Size is 4 * 3^(n-1).  n < 1 is rejected: the length-0 sphere is the
+    identity and never what a sphere average means here.
     """
     if n < 1:
         raise ValueError(f"sphere radius must be >= 1, got {n}")
@@ -229,17 +225,17 @@ def sphere(n: int, gens: tuple[str, ...] = H_GENS) -> tuple[FreeWord, ...]:
         words = [
             w + s
             for w in words
-            for s in _signed_gens(gens)
+            for s in "cCdD"
             if not (w and w[-1] != s and w[-1].lower() == s.lower())
         ]
     return tuple(sorted((FreeWord(w) for w in words), key=FreeWord.sort_key))
 
 
-def ball(n: int, gens: tuple[str, ...] = H_GENS) -> tuple[FreeWord, ...]:
-    """All reduced words of length <= n, sorted deterministically."""
+def ball(n: int) -> tuple[FreeWord, ...]:
+    """All reduced words over c, d of length <= n, sorted deterministically."""
     if n < 0:
         raise ValueError(f"ball radius must be >= 0, got {n}")
     out = [W_ONE]
     for k in range(1, n + 1):
-        out.extend(sphere(k, gens))
+        out.extend(sphere(k))
     return tuple(out)

@@ -43,7 +43,7 @@ from .bundle import (
     stratum_units,
 )
 from .groups import FreeWord, H_GENS, W_ONE, ball, sphere
-from .steinberg import FULL_REGION, SteinElt, st_bn, st_chiB, st_sub, st_sup_dist
+from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sub, st_sup_dist
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,10 @@ class NormEstimate:
         return f"[{self.lower:.9f}, {up}]"
 
 
+# power-iteration steps before an estimate stops short of its tolerance
+MAX_ITER = 2000
+
+
 def _spmv(out_idx, in_idx, vals, x, size: int) -> np.ndarray:
     """y[out_idx[k]] += vals[k] * x[in_idx[k]], summed in entry order.
 
@@ -112,7 +116,7 @@ def _spmv(out_idx, in_idx, vals, x, size: int) -> np.ndarray:
     return np.bincount(out_idx, vals * x[in_idx], size)
 
 
-def _power_lower(shape, rows, cols, vals, tol: float, max_iter: int):
+def _power_lower(shape, rows, cols, vals, tol: float):
     """Largest ||A v|| / ||v|| found over explicit vectors v, for the
     matrix A of the given shape with entries ``vals`` at ``(rows, cols)``.
 
@@ -134,7 +138,7 @@ def _power_lower(shape, rows, cols, vals, tol: float, max_iter: int):
     sigma_prev = -1.0
     sigma = 0.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         u = _spmv(rows, cols, vals, v, nrows)
         sigma = float(np.linalg.norm(u))
         if sigma == 0.0:
@@ -150,17 +154,12 @@ def _power_lower(shape, rows, cols, vals, tol: float, max_iter: int):
     return sigma, it
 
 
-def opnorm_lower(
-    op: SparseOperator,
-    tol: float = 1e-9,
-    max_iter: int = 2000,
-    truncation_radius: Optional[int] = None,
-) -> NormEstimate:
+def opnorm_lower(op: SparseOperator, tol: float = 1e-9) -> NormEstimate:
     """Certified lower bound for the operator norm: power iteration on the
     matrix with boundary columns dropped, so every image is exact."""
-    sigma, iters = _power_lower(op.shape, *op.interior_arrays(), tol, max_iter)
+    sigma, iters = _power_lower(op.shape, *op.interior_arrays(), tol)
     interior = op.shape[1] - len(op.boundary_cols)
-    return NormEstimate(sigma, None, iters, truncation_radius, interior)
+    return NormEstimate(sigma, None, iters, None, interior)
 
 
 def h_ball_operator(
@@ -207,7 +206,7 @@ def haagerup_bound(n: int) -> float:
     return (n + 1) / (2.0 * 3.0 ** ((n - 1) / 2.0))
 
 
-def _radial_sphere1_sigma(radius: int, tol: float, max_iter: int):
+def _radial_sphere1_sigma(radius: int, tol: float):
     """sigma_max of the radius-``radius`` truncated normalized sphere-1
     walk, computed in radial coordinates.
 
@@ -227,14 +226,11 @@ def _radial_sphere1_sigma(radius: int, tol: float, max_iter: int):
         if col >= 1:
             mat[col - 1, col] = 0.5 if col == 1 else off
     nz = np.nonzero(mat)
-    return _power_lower(mat.shape, *nz, mat[nz], tol, max_iter)
+    return _power_lower(mat.shape, *nz, mat[nz], tol)
 
 
 def rho_estimate(
-    K: Sequence[FreeWord],
-    radius: int,
-    tol: float = 1e-9,
-    max_iter: int = 2000,
+    K: Sequence[FreeWord], radius: int, tol: float = 1e-9
 ) -> NormEstimate:
     """Certified estimates for the norm of the normalized walk operator
     (1/|K|) sum_{k in K} lambda(k) on l2 of the free group on c, d.
@@ -273,7 +269,7 @@ def rho_estimate(
         return NormEstimate(0.0, upper, 0, radius, 0)
 
     if sphere_n == 1:
-        sigma, iters = _radial_sphere1_sigma(radius, tol, max_iter)
+        sigma, iters = _radial_sphere1_sigma(radius, tol)
         # the interior columns are the words of ball(radius - 1)
         interior = 2 * 3 ** (radius - 1) - 1
     else:
@@ -281,7 +277,7 @@ def rho_estimate(
         unit = Fraction(1, len(ks))
         for k in ks:
             coeffs[k] = coeffs.get(k, Fraction(0)) + unit
-        est = opnorm_lower(h_ball_operator(coeffs, radius), tol, max_iter)
+        est = opnorm_lower(h_ball_operator(coeffs, radius), tol)
         sigma, iters, interior = est.lower, est.iterations, est.interior_cols
     return NormEstimate(sigma, upper, iters, radius, interior)
 
@@ -292,7 +288,7 @@ def rho_estimate(
 
 
 def _h_coeffs(f: SteinElt) -> dict[FreeWord, Fraction]:
-    if f.region != FULL_REGION:
+    if f.region != REGION_FULL:
         raise ValueError("norm bound needs an unrestricted element")
     coeffs: dict[FreeWord, Fraction] = {}
     for s, c in f.terms:
@@ -318,7 +314,7 @@ def _layered_upper(coeffs: Mapping[FreeWord, Fraction]) -> float:
 
 
 def stein_H_norm_bound(
-    f: SteinElt, radius: int = 6, tol: float = 1e-9, max_iter: int = 2000
+    f: SteinElt, radius: int = 6, tol: float = 1e-9
 ) -> NormEstimate:
     """Two-sided bound for the reduced norm of a combination of fiber
     group terms (group elements of the free factor on c, d).
@@ -334,7 +330,7 @@ def stein_H_norm_bound(
     collapse = float(abs(sum(coeffs.values(), Fraction(0))))
     if not coeffs:
         return NormEstimate(0.0, 0.0, 0, radius)
-    est = opnorm_lower(h_ball_operator(coeffs, radius), tol, max_iter)
+    est = opnorm_lower(h_ball_operator(coeffs, radius), tol)
     return NormEstimate(
         max(collapse, est.lower),
         max(collapse, _layered_upper(coeffs)),
@@ -345,7 +341,7 @@ def stein_H_norm_bound(
 
 
 def bundle_norm_bound(
-    f: BSteinElt, radius: int = 6, tol: float = 1e-9, max_iter: int = 2000
+    f: BSteinElt, radius: int = 6, tol: float = 1e-9
 ) -> NormEstimate:
     """Two-sided reduced-norm bound for a bundle element: the sup of the
     fiber operator norms over one unit per fiber stratum.
@@ -387,7 +383,7 @@ def bundle_norm_bound(
                 continue
             key = frozenset(walk.items())
             if key not in estimates:
-                estimates[key] = opnorm_lower(h_ball_operator(walk, radius), tol, max_iter)
+                estimates[key] = opnorm_lower(h_ball_operator(walk, radius), tol)
             lower = max(lower, estimates[key].lower)
             upper = max(upper, _layered_upper(walk))
     ests = estimates.values()

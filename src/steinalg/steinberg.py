@@ -1,21 +1,21 @@
 """Finite rational combinations of partial-transformation indicators.
 
-An element is a list of (S-element, coefficient) terms, optionally
-restricted to one of the clopen word regions B (first letter from a
-y-family), C (first letter from a z-family), or the full space, minus
-finitely many removed cylinders.  Evaluation at a germ, convolution, exact
-sup-distances, and the support analysis all run over finitely many strata:
+An element is a list of (S-element, coefficient) terms on one of two
+clopen word regions: the full space, or the y-rooted half B (first letter
+from a y-family), which gives the paper's a*chi_B.  Evaluation at a germ,
+convolution, exact sup-distances, and the support analysis all run over
+finitely many strata:
 
 Words are classified by a pattern assigning each position either a letter
-written in some term's source prefix (or removed cylinder) or a generic
-letter of one of the four families.  Up to the stabilization length
-L = max source-prefix length + ``STABILIZATION_DEPTH`` (two letters), the
-germ partition of the terms and all their values are constant across each
-pattern class: index arithmetic at a generic position cancels between any
-two terms compared there, and restrictions die after two letters.
-Length-L classes absorb every longer and infinite word and are exactly the
-classes whose germ sets contain open cylinders, so a function is singular
-precisely when no nonzero stratum has full pattern length.
+written in some term's source prefix or a generic letter of one of the
+four families.  Up to the stabilization length L = max source-prefix
+length + ``STABILIZATION_DEPTH`` (two letters), the germ partition of the
+terms and all their values are constant across each pattern class:
+index arithmetic at a generic position cancels between any two terms
+compared there, and restrictions die after two letters.  Length-L classes
+absorb every longer and infinite word and are exactly the classes whose
+germ sets contain open cylinders, so a function is singular precisely
+when no nonzero stratum has full pattern length.
 
 One lazy walk over these classes serves both folds, ``st_support_strata``
 and ``st_sup_dist``; each computes a term's germ key once per class.
@@ -50,58 +50,34 @@ from .selfsim import (
 
 REGION_FULL = "full"
 REGION_B = "B"  # words whose first letter is from a y-family
-REGION_C = "C"  # words whose first letter is from a z-family
 
 
-@dataclass(frozen=True)
-class Region:
-    kind: str = REGION_FULL
-    removed: tuple[FinWord, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in (REGION_FULL, REGION_B, REGION_C):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-
-    def member(self, w: Word) -> bool:
-        if self.kind != REGION_FULL:
-            first = w.prefix(1)
-            if len(first) == 0:
-                return False
-            fam = "y" if self.kind == REGION_B else "z"
-            if first[0].family != fam:
-                return False
-        return not any(w.startswith(r) for r in self.removed)
-
-    def is_unrestricted(self) -> bool:
-        return self.kind == REGION_FULL and not self.removed
-
-    def __str__(self) -> str:
-        s = self.kind
-        if self.removed:
-            s += " - {" + ", ".join(str(r) for r in self.removed) + "}"
-        return s
-
-
-FULL_REGION = Region()
+def region_member(region: str, w: Word) -> bool:
+    if region == REGION_FULL:
+        return True
+    first = w.prefix(1)
+    return len(first) > 0 and first[0].family == "y"
 
 
 @dataclass(frozen=True)
 class SteinElt:
     terms: tuple[tuple[SElt, Fraction], ...] = ()
-    region: Region = FULL_REGION
+    region: str = REGION_FULL
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         body = " + ".join(f"{c}*[{s}]" for s, c in self.terms)
-        return body if self.region == FULL_REGION else f"({body})|{self.region}"
+        return body if self.region == REGION_FULL else f"({body})|{self.region}"
 
 
 def st_make(
     terms: Iterable[tuple[SElt, Union[Fraction, int]]],
-    region: Region = FULL_REGION,
+    region: str = REGION_FULL,
 ) -> SteinElt:
     """Merge structurally equal S-elements, drop zeros, sort."""
+    if region not in (REGION_FULL, REGION_B):
+        raise ValueError(f"unknown region {region!r}")
     acc: dict[SElt, Fraction] = {}
     for s, c in terms:
         if s.zero:
@@ -110,7 +86,7 @@ def st_make(
     out = [(s, c) for s, c in acc.items() if c != 0]
     out.sort(key=lambda t: t[0].sort_key())
     # a region carries no information on the zero element
-    return SteinElt(tuple(out), region if out else FULL_REGION)
+    return SteinElt(tuple(out), region if out else REGION_FULL)
 
 
 def st_add(f: SteinElt, g: SteinElt) -> SteinElt:
@@ -133,7 +109,7 @@ def st_conv(f: SteinElt, g: SteinElt) -> SteinElt:
     restriction passes through the product, f * (g chi_U) = (f g) chi_U,
     but a region on the left factor is not expressible as a region on the
     result."""
-    if not f.region.is_unrestricted() and f.terms:
+    if f.region != REGION_FULL and f.terms:
         raise ValueError("left factor of a convolution must be unrestricted")
     prods = []
     for s, c in f.terms:
@@ -145,7 +121,7 @@ def st_conv(f: SteinElt, g: SteinElt) -> SteinElt:
 def st_eval(f: SteinElt, g: Germ) -> Fraction:
     """Exact value at a germ: the sum of coefficients of terms defined at
     the base word with the same germ there."""
-    if not f.region.member(g.word):
+    if not region_member(f.region, g.word):
         return Fraction(0)
     target = germ_key(g.s, g.word)
     total = Fraction(0)
@@ -186,7 +162,7 @@ def st_a() -> SteinElt:
 
 
 def st_chiB() -> SteinElt:
-    return st_make([(S_ONE, Fraction(1))], Region(REGION_B))
+    return st_make([(S_ONE, Fraction(1))], REGION_B)
 
 
 def st_chi_cylinder(alpha: FinWord) -> SteinElt:
@@ -233,18 +209,16 @@ def _fresh_letter(fam: str, ch: int, pos: int, ys: set[int], zs: set[KElt]) -> L
     return Letter("z", ch, KElt(free_word("c" * depth), W_ONE, 0))
 
 
-def _word_classes(terms: tuple, cuts: tuple[FinWord, ...]):
+def _word_classes(terms: tuple):
     """Lazily yield ``(pattern, rep_word, interior, defined)`` per word class.
 
-    ``terms`` are tuples whose first entry is an S-element; ``cuts`` are
-    extra prefixes (removed cylinders) the classes must distinguish.
-    ``defined`` holds the terms whose source prefix ``rep_word`` extends;
-    full-length classes are ``interior``, with an infinite representative.
+    ``terms`` are tuples whose first entry is an S-element.  ``defined``
+    holds the terms whose source prefix ``rep_word`` extends; full-length
+    classes are ``interior``, with an infinite representative.
     """
     elts = [t[0] for t in terms]
-    L = max([len(s.beta) + STABILIZATION_DEPTH for s in elts] + [len(r) for r in cuts])
+    L = max(len(s.beta) + STABILIZATION_DEPTH for s in elts)
     written = [x for s in elts for x in s.alpha + s.beta]
-    written.extend(x for r in cuts for x in r)
     ys = {x.index for x in written if x.family == "y"}
     zs = {x.index for x in written if x.family == "z"}
 
@@ -273,25 +247,21 @@ def _word_classes(terms: tuple, cuts: tuple[FinWord, ...]):
             yield from walk(pos + 1, pattern + (("gen", fam, ch),), rep + [x], [])
         # generic letters match no written prefix, so nothing stays alive
 
-    return walk(0, (), [], [s.beta for s in elts] + list(cuts))
+    return walk(0, (), [], [s.beta for s in elts])
 
 
-def st_support_strata(
-    f: SteinElt, split_on: tuple[FinWord, ...] = ()
-) -> tuple[SupportStratum, ...]:
+def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
     """All nonzero germ-class strata of f, exact and exhaustive.
 
     One fold over the word classes: at each representative inside the
     region, the defined terms are grouped by germ key, and each group
-    with nonzero coefficient sum is a stratum.  ``split_on`` lists extra
-    prefixes the word classes must distinguish.
+    with nonzero coefficient sum is a stratum.
     """
     if not f.terms:
         return ()
     strata: list[SupportStratum] = []
-    classes = _word_classes(f.terms, f.region.removed + tuple(split_on))
-    for pattern, rep, interior, defined in classes:
-        if not f.region.member(rep):
+    for pattern, rep, interior, defined in _word_classes(f.terms):
+        if not region_member(f.region, rep):
             continue
         groups: dict = {}
         for s, c in defined:
@@ -309,9 +279,9 @@ def st_support_strata(
 def st_sup_dist(f: SteinElt, g: SteinElt) -> Fraction:
     """Exact supremum of |f - g| over all germs.
 
-    One fold over the word classes of f's terms with +c and g's with -c,
-    split on both regions' removed cylinders, so that the germ partition
-    and both regions' membership are constant on each class.  At each
+    One fold over the word classes of f's terms with +c and g's with -c;
+    the germ partition and both regions' membership (which reads only the
+    first letter) are constant on each class.  At each
     representative every defined term's germ key is computed once, and
     the signed coefficients of the terms inside their own region are
     summed per key; the largest |sum| is the supremum.
@@ -320,9 +290,8 @@ def st_sup_dist(f: SteinElt, g: SteinElt) -> Fraction:
     if not signed:
         return Fraction(0)
     best = Fraction(0)
-    classes = _word_classes(signed, f.region.removed + g.region.removed)
-    for _, rep, _, defined in classes:
-        inside = (f.region.member(rep), g.region.member(rep))
+    for _, rep, _, defined in _word_classes(signed):
+        inside = (region_member(f.region, rep), region_member(g.region, rep))
         sums: dict = {}
         for s, c, side in defined:
             if inside[side]:
@@ -358,7 +327,7 @@ def st_open_witness(f: SteinElt) -> Optional[OpenWitness]:
     pi_ch(g) = pi_ch(h), independent of w and k.  Any coset with nonzero
     sum certifies an open subset of the support.
     """
-    if f.region.kind == REGION_B:
+    if f.region == REGION_B:
         return None
     group_terms = [
         (s.g, c) for s, c in f.terms if len(s.alpha) == 0 and len(s.beta) == 0
@@ -366,9 +335,9 @@ def st_open_witness(f: SteinElt) -> Optional[OpenWitness]:
     if not group_terms:
         return None
     excluded: set[KElt] = set()
-    for w in [s.beta for s, _ in f.terms] + list(f.region.removed):
-        if len(w) > 0 and w[0].family == "z":
-            excluded.add(w[0].index)
+    for s, _ in f.terms:
+        if len(s.beta) > 0 and s.beta[0].family == "z":
+            excluded.add(s.beta[0].index)
     for ch in (1, 2):
         cosets: dict[KElt, list[tuple[GElt, Fraction]]] = {}
         for g, c in group_terms:

@@ -13,8 +13,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from steinalg.bundle import (
     barrow,
     bstein_conv,

@@ -16,9 +16,6 @@ from hypothesis import given, settings, strategies as st
 from steinalg.groups import W_ONE, free_word, sphere
 from steinalg.bundle import (
     B_ZERO,
-    BArrow,
-    BSteinElt,
-    BUnit,
     EMPTY_SET,
     FLAG_B,
     FLAG_FULL,

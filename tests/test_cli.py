@@ -190,6 +190,15 @@ def test_bad_flags_exit_2():
     assert run("verify", "--example", "nope").exit_code == 2
 
 
+def test_non_finite_tol_exits_2():
+    # a NaN or infinite tolerance would reach the report as a non-JSON token
+    for command in ("verify", "scatter"):
+        for value in ("nan", "inf"):
+            res = run(command, "--indices", "1,2", "--tol", value)
+            assert res.exit_code == 2
+            assert "positive finite" in res.output
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "report.json"
     res = run("verify", "--indices", "", "--out", str(target))

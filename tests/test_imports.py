@@ -1,15 +1,21 @@
 """What the ``steinalg`` modules import and define.
 
-Every name a module imports is read somewhere in it.  No linter ships
-with the toolchain, so this walks each module's syntax tree: an imported
-binding that never appears as a name (alone or as the root of an
-attribute chain) is dead.  ``__future__`` imports are skipped, and so are
-the package ``__init__``'s re-exports listed in ``__all__``.
+Every name a module or a test module imports is read somewhere in it.  No
+linter ships with the toolchain, so this walks each module's syntax tree:
+an imported binding that never appears as a name (alone or as the root of
+an attribute chain) is dead.  ``__future__`` imports are skipped, and so
+are the package ``__init__``'s re-exports listed in ``__all__``.
 
 Every module-level function, class or assigned name is used by the
 package itself: some module reads it (as a name, an attribute or a
 relative import), ``__all__`` exports it, or it is a decorated function
 such as a click command.  A name that only tests reach is dead surface.
+
+Every defaulted parameter of a package function (dunder methods aside) is
+set by some package call to a function of that name, called as a bare
+name or as an attribute: by keyword, by position (``self`` and ``cls``
+not counted), or through ``*`` or ``**`` unpacking.  A default that no
+package caller overrides is a parameter only tests reach.
 
 Every layer the benchmark traces (``LAYERS`` in ``bench/layertrace.py``)
 is a callable of its module, so a deletion that would leave the benchmark
@@ -30,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "steinalg"
+TESTS = ROOT / "tests"
 
 
 def literal(tree: ast.Module, name: str):
@@ -96,6 +103,55 @@ def unused_names(sources: dict[str, str]) -> list[str]:
     )
 
 
+def _callee(call: ast.Call):
+    fn = call.func
+    if isinstance(fn, ast.Name):
+        return fn.id
+    return fn.attr if isinstance(fn, ast.Attribute) else None
+
+
+def _sets(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` passes parameter ``name`` (at ``position`` among
+    the positional parameters, None for keyword-only)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_defaults(sources: dict[str, str]) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter that no
+    package call to a function of that name sets."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (name := _callee(node)):
+                calls.setdefault(name, []).append(node)
+    found = []
+    for mod, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (a.arg, None)
+                for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None
+            ]
+            found.extend(
+                f"{mod}.{fn.name}({name})"
+                for name, position in defaulted
+                if not any(_sets(c, name, position) for c in calls.get(fn.name, ()))
+            )
+    return sorted(found)
+
+
 def test_no_module_imports_an_unused_name():
     sample = (
         "from __future__ import annotations\n"
@@ -104,8 +160,8 @@ def test_no_module_imports_an_unused_name():
     )
     assert unused_imports(sample) == ["c", "os"]
     found = {
-        path.name: names
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}": names
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
@@ -122,6 +178,25 @@ def test_every_module_level_name_is_used():
     assert unused_names(sample) == ["a.X", "a.h", "b.k"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unused_names(sources) == []
+
+
+def test_every_defaulted_parameter_is_set_by_the_package():
+    sample = {
+        "a": (
+            "def f(x, *, z=2): pass\n"
+            "def g(x, y=1): pass\n"
+            "def h(x, y=1, z=2): pass\n"
+            "def k(y=1): pass\n"
+            "def p(x, y=1): pass\n"
+            "class C:\n"
+            "    def __init__(self, y=1): pass\n"
+            "    def m(self, y=1): pass\n"
+        ),
+        "b": "f(0)\nobj.g(0, 5)\nh(*args)\nk(**kw)\np(0)\np(x=0)\nC().m(2)\n",
+    }
+    assert unset_defaults(sample) == ["a.f(z)", "a.p(y)"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unset_defaults(sources) == []
 
 
 def test_every_traced_layer_is_defined():

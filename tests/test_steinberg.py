@@ -23,31 +23,25 @@ from steinalg.selfsim import (
     EPS,
     FinWord,
     Germ,
-    OmegaWord,
     S_ONE,
     SElt,
-    act_letter,
     finword,
     germ_key,
     omega,
     s_apply,
     s_defined_at,
     s_from_group,
-    s_from_word,
     s_inv,
     s_mul,
-    s_proj,
     yl,
     zl,
 )
 from steinalg.steinberg import (
-    FULL_REGION,
     REGION_B,
-    REGION_C,
     REGION_FULL,
-    Region,
     SteinElt,
     h_elt,
+    region_member,
     st_a,
     st_add,
     st_bn,
@@ -140,14 +134,14 @@ def test_make_merges_and_drops():
 def test_region_membership():
     y_word = finword(yl(1, 0))
     z_word = finword(zl(2, K_ONE))
-    assert Region(REGION_B).member(y_word)
-    assert not Region(REGION_B).member(z_word)
-    assert not Region(REGION_B).member(EPS)
-    assert Region(REGION_C).member(omega(z_word, y_word))
-    assert FULL_REGION.member(EPS)
-    cut = Region(REGION_FULL, (y_word,))
-    assert not cut.member(y_word + z_word)
-    assert cut.member(z_word)
+    assert region_member(REGION_B, y_word)
+    assert region_member(REGION_B, omega(y_word, z_word))
+    assert not region_member(REGION_B, z_word)
+    assert not region_member(REGION_B, EPS)
+    assert region_member(REGION_FULL, EPS)
+    assert region_member(REGION_FULL, omega(z_word, y_word))
+    with pytest.raises(ValueError):
+        st_make([(S_ONE, 1)], "C")
 
 
 def test_chiB_values():
@@ -155,8 +149,6 @@ def test_chiB_values():
     assert st_eval(chiB, Germ(S_ONE, finword(yl(1, 4)))) == 1
     assert st_eval(chiB, Germ(S_ONE, finword(zl(1, K_ONE)))) == 0
     assert st_eval(chiB, Germ(S_ONE, EPS)) == 0
-    chiC = st_make([(S_ONE, 1)], Region(REGION_C))
-    assert st_eval(chiC, Germ(S_ONE, finword(zl(1, K_ONE)))) == 1
 
 
 def test_eval_sums_germ_equal_terms():
@@ -206,12 +198,12 @@ def test_conv_associative(f, g, h):
 
 def test_conv_region_rules():
     f = st_make([(S_ONE, Fraction(1))])
-    restricted = st_make([(S_ONE, Fraction(1))], Region(REGION_B))
-    assert st_conv(f, restricted).region == Region(REGION_B)
+    restricted = st_make([(S_ONE, Fraction(1))], REGION_B)
+    assert st_conv(f, restricted).region == REGION_B
     with pytest.raises(ValueError):
         st_conv(restricted, f)
     with pytest.raises(ValueError):
-        st_add(restricted, st_make([(S_ONE, 1)], Region(REGION_C)))
+        st_add(restricted, f)
 
 
 def test_a_is_one_minus_a_conv_one_minus_b():
@@ -410,37 +402,23 @@ def test_sup_dist_sign_cancellation_regression():
     assert st_sup_dist(f, g) == 2
 
 
-def test_sup_dist_sees_removed_cylinders():
-    y = finword(yl(1, 0))
-    f = st_make([(S_ONE, Fraction(1))])
-    g = st_make([(S_ONE, Fraction(1))], Region(REGION_FULL, (y,)))
-    assert st_sup_dist(f, g) == 1
-    assert st_sup_dist(g, g) == 0
-
-
 def two_pass_sup_dist(f, g):
     """Reference two-pass sup distance: stratify an all-ones scaffold of
-    both term lists split on both regions' removed cylinders, then
-    evaluate f and g with st_eval at every stratum representative."""
+    both term lists, then evaluate f and g with st_eval at every stratum
+    representative."""
     combined = st_make([(s, 1) for s, _ in f.terms + g.terms])
-    removed = tuple(
-        sorted(set(f.region.removed) | set(g.region.removed), key=FinWord.sort_key)
-    )
     best = Fraction(0)
-    for stratum in st_support_strata(combined, split_on=removed):
+    for stratum in st_support_strata(combined):
         gm = Germ(stratum.base, stratum.rep_word)
         best = max(best, abs(st_eval(f, gm) - st_eval(g, gm)))
     return best
 
 
 def restricted(kind):
-    """Elements restricted to a region of the given kind, minus up to two
-    removed cylinders."""
-    removed = st.lists(small_words.filter(len), max_size=2).map(tuple)
+    """Elements restricted to the region of the given kind."""
     return st.builds(
-        lambda ts, cut: st_make(ts, Region(kind, cut)),
+        lambda ts: st_make(ts, kind),
         st.lists(st.tuples(s_elts, coeffs), max_size=2),
-        removed,
     )
 
 
@@ -450,7 +428,7 @@ def test_sup_dist_equals_two_pass_oracle(f, g):
     assert st_sup_dist(f, g) == two_pass_sup_dist(f, g)
 
 
-@pytest.mark.parametrize("kind", [REGION_B, REGION_C, REGION_FULL])
+@pytest.mark.parametrize("kind", [REGION_B, REGION_FULL])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_sup_dist_equals_two_pass_oracle_on_regions(kind, data):
