@@ -61,7 +61,6 @@ from .groups import (
 from .repnorm import cauchy_profile, rho_estimate
 from .selfsim import (
     EPS,
-    FinWord,
     Germ,
     S_ONE,
     effectiveness_witness,
@@ -77,7 +76,9 @@ from .selfsim import (
     zl,
 )
 from .steinberg import (
+    REGION_B,
     h_elt,
+    region_member,
     st_a,
     st_bn,
     st_chiB,
@@ -156,12 +157,6 @@ def _sample_buset(rng: random.Random):
     return U
 
 
-def _first_is_y(w) -> bool:
-    if isinstance(w, FinWord):
-        return len(w) > 0 and w[0].family == "y"
-    return w.letter_at(0).family == "y"
-
-
 # ---------------------------------------------------------------------------
 # verify checks, self-similar example
 # ---------------------------------------------------------------------------
@@ -215,7 +210,7 @@ def _selfsim_germ_law(rng: random.Random, checks: list) -> None:
         for s2, k2 in zip(elems[i + 1:], keys[i + 1:]):
             pairs += 1
             for w, key1, key2 in zip(words, k1, k2):
-                if (key1 == key2) != _first_is_y(w):
+                if (key1 == key2) != region_member(REGION_B, w):
                     bad = bad or f"germ law fails for {s1}, {s2} at {w}"
     _check(
         checks,

@@ -6,9 +6,11 @@ is ``G = H x F x Z x Z``; the quotient ``K = H x F x Z`` appears as the
 target of the two projections that drop one integer coordinate.
 
 Free-group elements are reduced words stored as strings, lowercase for a
-generator and uppercase for its inverse.  Public construction reduces or
-validates, so structural equality is group equality; products and inverses
-of words that are already reduced are built without re-checking.
+generator and uppercase for its inverse.  Values are validated where they
+enter: the public ``FreeWord``, ``GElt`` and ``KElt`` constructors,
+:func:`free_word` and the ``syntax`` parsers.  So structural equality is
+group equality, and products, inverses and homomorphic images of valid
+values are built unchecked (``_reduced``, ``_gelt``, ``_kelt``).
 """
 
 from __future__ import annotations
@@ -134,12 +136,22 @@ class GElt:
 G_ONE = GElt()
 
 
+def _gelt(h: FreeWord, f: FreeWord, n: int, m: int) -> GElt:
+    """GElt from parts known to be over the right generators, unchecked."""
+    g = object.__new__(GElt)
+    object.__setattr__(g, "h", h)
+    object.__setattr__(g, "f", f)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "m", m)
+    return g
+
+
 def group_mul(g1: GElt, g2: GElt) -> GElt:
-    return GElt(g1.h * g2.h, g1.f * g2.f, g1.n + g2.n, g1.m + g2.m)
+    return _gelt(free_mul(g1.h, g2.h), free_mul(g1.f, g2.f), g1.n + g2.n, g1.m + g2.m)
 
 
 def group_inv(g: GElt) -> GElt:
-    return GElt(g.h.inv(), g.f.inv(), -g.n, -g.m)
+    return _gelt(g.h.inv(), g.f.inv(), -g.n, -g.m)
 
 
 @dataclass(frozen=True)
@@ -157,10 +169,10 @@ class KElt:
             raise ValueError(f"f-part {self.f} not over {F_GENS}")
 
     def __mul__(self, other: "KElt") -> "KElt":
-        return KElt(self.h * other.h, self.f * other.f, self.n + other.n)
+        return _kelt(self.h * other.h, self.f * other.f, self.n + other.n)
 
     def inv(self) -> "KElt":
-        return KElt(self.h.inv(), self.f.inv(), -self.n)
+        return _kelt(self.h.inv(), self.f.inv(), -self.n)
 
     def is_identity(self) -> bool:
         return self.h.is_identity() and self.f.is_identity() and self.n == 0
@@ -175,6 +187,15 @@ class KElt:
 K_ONE = KElt()
 
 
+def _kelt(h: FreeWord, f: FreeWord, n: int) -> KElt:
+    """KElt from parts known to be over the right generators, unchecked."""
+    k = object.__new__(KElt)
+    object.__setattr__(k, "h", h)
+    object.__setattr__(k, "f", f)
+    object.__setattr__(k, "n", n)
+    return k
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms
 # ---------------------------------------------------------------------------
@@ -186,15 +207,15 @@ def hom_tau(g: GElt) -> GElt:
     F-part; everything else is forgotten.  tau(tau(g)) is always the
     identity.
     """
-    return GElt(W_ONE, W_ONE, g.f.exp_sum("a"), g.f.exp_sum("b"))
+    return _gelt(W_ONE, W_ONE, g.f.exp_sum("a"), g.f.exp_sum("b"))
 
 
 def hom_pi(i: int, g: GElt) -> KElt:
     """Projection G -> K keeping the i-th integer coordinate, i in {1, 2}."""
     if i == 1:
-        return KElt(g.h, g.f, g.n)
+        return _kelt(g.h, g.f, g.n)
     if i == 2:
-        return KElt(g.h, g.f, g.m)
+        return _kelt(g.h, g.f, g.m)
     raise ValueError(f"channel must be 1 or 2, got {i}")
 
 

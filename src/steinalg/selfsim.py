@@ -14,7 +14,9 @@ word classes of ``steinberg`` read no deeper into a word than that.
 
 S-elements are the partial transformations alpha g beta^* (prepend alpha,
 act by g, require and strip the prefix beta) together with a zero.
-Products, inverses and germs are all exact and structural.
+Products, inverses and germs are all exact and structural.  Letters are
+validated where they enter (``Letter``, :func:`yl`, :func:`zl` and the
+``syntax`` parsers); the action builds its image letters unchecked.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ class Letter:
 
     def __str__(self) -> str:
         return f"{self.family}{self.channel}[{self.index}]"
+
+
+def _letter(family: str, channel: int, index: Union[int, KElt]) -> Letter:
+    """Letter from parts known to be valid, skipping the check."""
+    x = object.__new__(Letter)
+    object.__setattr__(x, "family", family)
+    object.__setattr__(x, "channel", channel)
+    object.__setattr__(x, "index", index)
+    return x
 
 
 def yl(channel: int, n: int) -> Letter:
@@ -179,8 +190,8 @@ STABILIZATION_DEPTH = 2
 
 def act_letter(g: GElt, x: Letter) -> Letter:
     if x.family == "y":
-        return Letter("y", x.channel, hom_zeta(x.channel, g) + x.index)
-    return Letter("z", x.channel, hom_pi(x.channel, g) * x.index)
+        return _letter("y", x.channel, hom_zeta(x.channel, g) + x.index)
+    return _letter("z", x.channel, hom_pi(x.channel, g) * x.index)
 
 
 def restrict_letter(g: GElt, x: Letter) -> GElt:
@@ -189,14 +200,19 @@ def restrict_letter(g: GElt, x: Letter) -> GElt:
     return G_ONE
 
 
+def _act_letters(g: GElt, letters: tuple) -> tuple[tuple, GElt]:
+    """Images of ``letters`` under g and the restriction of g past them."""
+    imgs = []
+    for x in letters:
+        imgs.append(act_letter(g, x))
+        g = restrict_letter(g, x)
+    return tuple(imgs), g
+
+
 def act_word(g: GElt, w: FinWord) -> tuple[FinWord, GElt]:
     """Image of w under g together with the restriction of g past w."""
-    imgs = []
-    cur = g
-    for x in w:
-        imgs.append(act_letter(cur, x))
-        cur = restrict_letter(cur, x)
-    return FinWord(tuple(imgs)), cur
+    imgs, r = _act_letters(g, w.letters)
+    return FinWord(imgs), r
 
 
 def act_omega(g: GElt, w: OmegaWord) -> OmegaWord:
@@ -226,9 +242,6 @@ class SElt:
 
     def inv(self) -> "SElt":
         return s_inv(self)
-
-    def weight(self) -> int:
-        return len(self.alpha) - len(self.beta)
 
     def sort_key(self):
         return (
@@ -355,10 +368,11 @@ def germ_key(s: SElt, w: Word):
     """
     if not s_defined_at(s, w):
         raise ValueError(f"germ undefined: {s} at {w}")
-    src = w.prefix(len(s.beta) + STABILIZATION_DEPTH).letters
-    img, residual = act_word(s.g, FinWord(src[len(s.beta):]))
-    shift = s.weight()
-    head = s.alpha.letters + img.letters
+    k = len(s.beta.letters)
+    src = w.prefix(k + STABILIZATION_DEPTH).letters
+    img, residual = _act_letters(s.g, src[k:])
+    shift = len(s.alpha.letters) - k
+    head = s.alpha.letters + img
     while len(head) > max(shift, 0) and head[-1] == src[len(head) - 1 - shift]:
         head = head[:-1]
     return shift, head, residual

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from steinalg.groups import (
+    FreeWord,
     GElt,
     G_ONE,
     KElt,
@@ -17,6 +18,7 @@ from steinalg.groups import (
     W_ONE,
     free_word,
     group_inv,
+    group_mul,
     hom_pi,
     hom_tau,
     sphere,
@@ -24,6 +26,7 @@ from steinalg.groups import (
 from steinalg.selfsim import (
     EPS,
     FinWord,
+    Letter,
     OmegaWord,
     S_ONE,
     S_ZERO,
@@ -69,7 +72,7 @@ def oracle_germ_key(s, w):
     if isinstance(w, FinWord):
         _, residual = act_word(s.g, w[len(s.beta):])
         return ("fin", s_apply(s, w), residual)
-    return ("inf", s.weight(), s_apply(s, w))
+    return ("inf", len(s.alpha) - len(s.beta), s_apply(s, w))
 
 
 k_elts = st.builds(
@@ -100,6 +103,20 @@ s_elts = st.builds(SElt, fin_words, g_elts, fin_words)
 left_elts = st.one_of(st.just(S_ONE), st.builds(SElt, fin_words, g_elts))
 
 
+def rebuilt(v):
+    """v rebuilt through the public constructors, all the way down."""
+    if isinstance(v, FreeWord):
+        return FreeWord(v.chars)
+    if isinstance(v, GElt):
+        return GElt(rebuilt(v.h), rebuilt(v.f), v.n, v.m)
+    if isinstance(v, KElt):
+        return KElt(rebuilt(v.h), rebuilt(v.f), v.n)
+    if isinstance(v, Letter):
+        return Letter(v.family, v.channel, rebuilt(v.index))
+    assert type(v) is int
+    return v
+
+
 def A(chars):
     return s_from_group(GElt(W_ONE, free_word(chars), 0, 0))
 
@@ -122,6 +139,29 @@ def test_letter_action_table():
     assert act_letter(g, zl(1, k)) == zl(1, hom_pi(1, g) * k)
     assert act_letter(g, zl(2, k)) == zl(2, hom_pi(2, g) * k)
     assert restrict_letter(g, zl(1, k)) == G_ONE
+
+
+def test_letter_constructor_validates():
+    for family, channel, index in (
+        ("x", 1, 0), ("y", 3, 0), ("y", 1, K_ONE), ("z", 1, 0)
+    ):
+        with pytest.raises(ValueError):
+            Letter(family, channel, index)
+
+
+@given(g_elts, g_elts, k_elts, k_elts, letters, fin_words, st.sampled_from([1, 2]))
+def test_internal_products_pass_public_validation(g1, g2, k1, k2, x, w, ch):
+    # products, inverses and images are built unchecked; the public
+    # constructors must accept every one of them as an equal, equal-hash value
+    img, r = act_word(g1, w)
+    outs = [
+        group_mul(g1, g2), group_inv(g1), k1 * k2, k1.inv(), hom_tau(g1),
+        hom_pi(ch, g1), act_letter(g1, x), restrict_letter(g1, x), *img, r,
+    ]
+    for v in outs:
+        again = rebuilt(v)
+        assert again == v
+        assert hash(again) == hash(v)
 
 
 @given(g_elts, g_elts, fin_words)
