@@ -10,7 +10,8 @@ generator and uppercase for its inverse.  Values are validated where they
 enter: the public ``FreeWord``, ``GElt`` and ``KElt`` constructors,
 :func:`free_word` and the ``syntax`` parsers.  So structural equality is
 group equality, and products, inverses and homomorphic images of valid
-values are built unchecked (``_reduced``, ``_gelt``, ``_kelt``).
+values, and the words of spheres and balls, are built unchecked
+(``_reduced``, ``_gelt``, ``_kelt``).
 """
 
 from __future__ import annotations
@@ -243,13 +244,9 @@ def sphere(n: int) -> tuple[FreeWord, ...]:
         raise ValueError(f"sphere radius must be >= 1, got {n}")
     words = [""]
     for _ in range(n):
-        words = [
-            w + s
-            for w in words
-            for s in "cCdD"
-            if not (w and w[-1] != s and w[-1].lower() == s.lower())
-        ]
-    return tuple(sorted((FreeWord(w) for w in words), key=FreeWord.sort_key))
+        words = [w + s for w in words for s in "cCdD" if not w.endswith(s.swapcase())]
+    # no letter follows its inverse, so every word is reduced as built
+    return tuple(_reduced(w) for w in sorted(words))
 
 
 def ball(n: int) -> tuple[FreeWord, ...]:

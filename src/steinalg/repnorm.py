@@ -12,13 +12,25 @@ Everything here returns quantities with a stated side:
 
 Truncations are to balls in the rank-two free group on c, d.  A column of
 a truncated matrix whose image would leave the ball is flagged as a
-boundary column and excluded from the certified iteration.  The
-iteration runs on numpy arrays of the interior entries: A v and A^T u are
-``np.bincount`` sums over those entries, in entry order.
+boundary column and excluded from the certified iteration.
+
+A ball operator is built on integer indices, never on words.  For each
+radius one table per letter x gives the ball index of x * w for every
+ball word w, or a sentinel when x * w leaves the ball; the tables are
+made on first use and kept.  The images h * w of all columns are index
+gathers through the tables of h's letters, right to left.  Along the
+tree geodesic w, x_k w, ..., h w the word length falls and then rises,
+so the gathers stay in the ball exactly when both ends do.  One pass
+over the coefficient words drops every column whose image leaves the
+ball; a second gathers the images of the interior columns that remain.
+The entries are sorted into (row, col) order, and the iteration runs on
+numpy arrays of the interior entries: A v and A^T u are ``np.bincount``
+sums over them, in that order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
@@ -42,7 +54,7 @@ from .bundle import (
     fiber_values,
     stratum_units,
 )
-from .groups import FreeWord, H_GENS, W_ONE, ball, sphere
+from .groups import FreeWord, H_GENS, W_ONE, ball
 from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sub, st_sup_dist
 
 
@@ -51,39 +63,38 @@ from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sub, st_sup_dis
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseOperator:
     """A sparse rational matrix with flagged boundary columns.
 
-    Entry (i, j, c) means c in row i, column j.  Boundary columns are
-    those whose true image is not captured by the rows; certified lower
-    bounds iterate on vectors supported away from them, and
-    ``interior_arrays`` drops every entry of a boundary column.
+    Entry k holds ``coeffs[coeff_index[k]]`` in row ``rows[k]``, column
+    ``cols[k]``; entries are distinct cells in (row, col) order.  Boundary
+    columns are those whose true image is not captured by the rows;
+    certified lower bounds iterate on vectors supported away from them,
+    and ``interior_arrays`` drops every entry of a boundary column.
     """
 
     shape: tuple[int, int]
-    entries: tuple[tuple[int, int, Fraction], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    coeff_index: np.ndarray
+    coeffs: tuple[Fraction, ...]
     boundary_cols: frozenset[int] = frozenset()
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """The exact entries ``(i, j, c)``, in (row, col) order."""
+        values = map(self.coeffs.__getitem__, self.coeff_index.tolist())
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), values))
 
     def interior_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and float values of the entries outside boundary
-        columns, in the order of ``entries``."""
-        kept = [e for e in self.entries if e[1] not in self.boundary_cols]
-        rows = np.array([i for i, _, _ in kept], dtype=np.intp)
-        cols = np.array([j for _, j, _ in kept], dtype=np.intp)
-        vals = np.array([float(c) for _, _, c in kept], dtype=float)
-        return rows, cols, vals
-
-
-def sparse_operator(
-    shape: tuple[int, int],
-    entries: Mapping[tuple[int, int], Fraction],
-    boundary_cols=(),
-) -> SparseOperator:
-    cells = tuple(
-        (i, j, c) for (i, j), c in sorted(entries.items()) if c != 0
-    )
-    return SparseOperator(shape, cells, frozenset(boundary_cols))
+        columns, in entry order; each coefficient is converted once."""
+        vals = np.array([float(c) for c in self.coeffs], dtype=float)
+        inside = np.ones(self.shape[1], dtype=bool)
+        inside[list(self.boundary_cols)] = False
+        keep = inside[self.cols]
+        return self.rows[keep], self.cols[keep], vals[self.coeff_index[keep]]
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +173,31 @@ def opnorm_lower(op: SparseOperator, tol: float = 1e-9) -> NormEstimate:
     return NormEstimate(sigma, None, iters, None, interior)
 
 
+@functools.lru_cache(maxsize=None)
+def _step_tables(radius: int) -> dict[str, np.ndarray]:
+    """Left multiplication by each letter on the radius-``radius`` ball.
+
+    ``step[x][i]`` is the index of x * ball(radius)[i], or the sentinel
+    len(ball(radius)) when that word leaves the ball; the sentinel maps
+    to itself, so a gather through several tables keeps it.  Built once
+    per radius, on first use, and read-only.
+    """
+    words = [w.chars for w in ball(radius)]
+    index = {w: i for i, w in enumerate(words)}
+    out = len(words)
+    steps = {}
+    for x in "cCdD":
+        inv = x.swapcase()
+        table = np.array(
+            [index.get(w[1:] if w[:1] == inv else x + w, out) for w in words]
+            + [out],
+            dtype=np.intp,
+        )
+        table.flags.writeable = False
+        steps[x] = table
+    return steps
+
+
 def h_ball_operator(
     coeffs: Mapping[FreeWord, Fraction], radius: int
 ) -> SparseOperator:
@@ -169,32 +205,55 @@ def h_ball_operator(
     ball of the free group on c, d.
 
     Columns with some product landing outside the ball are flagged as
-    boundary and carry no entries: the coefficient words are tried
-    longest first, and a column stops at its first product that leaves
-    the ball.  Interior columns hold every product, one entry per word
-    (distinct words give distinct rows)."""
-    words = ball(radius)
-    index = {w: i for i, w in enumerate(words)}
-    items = [
-        (h, c)
-        for h, c in sorted(
-            coeffs.items(), key=lambda t: t[0].sort_key(), reverse=True
-        )
-        if c != 0
-    ]
-    entries: dict[tuple[int, int], Fraction] = {}
-    boundary = set()
-    for j, w in enumerate(words):
-        column = {}
-        for h, c in items:
-            i = index.get(h * w)
-            if i is None:
-                boundary.add(j)
-                break
-            column[(i, j)] = c
-        else:
-            entries.update(column)
-    return sparse_operator((len(words), len(words)), entries, boundary)
+    boundary and carry no entries.  Interior columns hold every product,
+    one entry per word (distinct words give distinct rows).  Words over
+    other letters raise ``ValueError``.
+
+    The images h * w of all columns w come from index gathers through
+    the letter tables of ``_step_tables``, right to left along h.  The
+    words w, x_k w, ..., h w form a geodesic of the Cayley tree, so their
+    lengths fall and then rise: every intermediate word lies in the ball
+    whenever w and h w do, and the gathers reach the sentinel exactly
+    when h w leaves the ball.  A first pass narrows the columns word by
+    word, keeping those whose image is not the sentinel; what is left is
+    the interior, and the second pass gathers the images of those columns
+    only, so no image of the whole ball is kept per word.  Entries are
+    put in (row, col) order with one lexsort, the order of
+    ``interior_arrays`` and of the bincount sums of the iteration.
+    """
+    for h in coeffs:
+        if not isinstance(h, FreeWord) or not h.gens() <= set(H_GENS):
+            raise ValueError(f"coefficient words must be over {H_GENS}")
+    steps = _step_tables(radius)
+    size = len(steps["c"]) - 1
+
+    def image(h: FreeWord, cols: np.ndarray) -> np.ndarray:
+        for x in reversed(h.chars):
+            cols = steps[x][cols]
+        return cols
+
+    # one slot per distinct coefficient, so each becomes a float only once
+    slot: dict[Fraction, int] = {}
+    terms = [(h, slot.setdefault(c, len(slot))) for h, c in coeffs.items() if c != 0]
+    interior = np.arange(size)
+    for h, _ in terms:
+        interior = interior[image(h, interior) != size]
+    rows = np.empty((len(terms), len(interior)), dtype=np.intp)
+    for k, (h, _) in enumerate(terms):
+        rows[k] = image(h, interior)
+    rows = rows.ravel()
+    cols = np.tile(interior, len(terms))
+    slots = np.array([s for _, s in terms], dtype=np.intp)
+    coeff_index = np.repeat(slots, len(interior))
+    order = np.lexsort((cols, rows))
+    return SparseOperator(
+        (size, size),
+        rows[order],
+        cols[order],
+        coeff_index[order],
+        tuple(slot),
+        frozenset(range(size)).difference(interior.tolist()),
+    )
 
 
 def haagerup_bound(n: int) -> float:
@@ -255,11 +314,13 @@ def rho_estimate(
     if all(k.is_identity() for k in ks):
         return NormEstimate(1.0, 1.0, 0, radius)
 
+    # reduced c,d-words of one length n >= 1 are S_n exactly when they
+    # are distinct and as many as S_n has
     lengths = {len(k.chars) for k in ks}
     sphere_n = None
     if len(lengths) == 1:
         n = lengths.pop()
-        if n >= 1 and Counter(ks) == Counter(sphere(n)):
+        if n >= 1 and len(set(ks)) == len(ks) == 4 * 3 ** (n - 1):
             sphere_n = n
     upper = haagerup_bound(sphere_n) if sphere_n is not None else 1.0
 

@@ -22,8 +22,9 @@ is a callable of its module, so a deletion that would leave the benchmark
 tracing an absent name fails here.
 
 The command line runs on click and numpy alone: a fresh interpreter that
-imports ``steinalg.cli`` loads no scipy module, and numpy starts with one
-OpenBLAS thread unless the caller chose otherwise.
+imports ``steinalg.cli`` loads no scipy module, builds no step table of
+the ball-operator kernel, and numpy starts with one OpenBLAS thread unless
+the caller chose otherwise.
 """
 
 import ast
@@ -222,9 +223,11 @@ def _fresh_import(env_threads):
     code = (
         "import json, os, sys\n"
         "import steinalg.cli\n"
+        "from steinalg import repnorm\n"
         "print(json.dumps({'threads': os.environ.get('OPENBLAS_NUM_THREADS'),"
         " 'scipy': sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.'))}))\n"
+        " if m == 'scipy' or m.startswith('scipy.')),"
+        " 'step_tables': repnorm._step_tables.cache_info().currsize}))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -233,5 +236,6 @@ def _fresh_import(env_threads):
 
 
 def test_cli_import_loads_no_scipy_and_one_blas_thread():
-    assert _fresh_import(None) == {"threads": "1", "scipy": []}
-    assert _fresh_import("2") == {"threads": "2", "scipy": []}
+    # and builds no ball-operator step table: those wait for the first build
+    assert _fresh_import(None) == {"threads": "1", "scipy": [], "step_tables": 0}
+    assert _fresh_import("2") == {"threads": "2", "scipy": [], "step_tables": 0}

@@ -7,7 +7,9 @@ operators are cross-checked against a germ enumeration kept here as a
 test-local oracle: the matrix of left convolution on an orbit basis at a
 z-rooted word must be, up to a basis permutation, the ball truncation that
 stein_H_norm_bound builds directly from the fiber coefficients (the
-shortcut "z-rooted germs are the left regular representation of H").
+shortcut "z-rooted germs are the left regular representation of H").  The
+index-gather kernel of h_ball_operator is checked against a column loop of
+free-word products, kept here as its oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from steinalg import repnorm
 
@@ -41,7 +44,6 @@ from steinalg.repnorm import (
     haagerup_bound,
     opnorm_lower,
     rho_estimate,
-    sparse_operator,
     stein_H_norm_bound,
 )
 from steinalg.selfsim import (
@@ -75,6 +77,21 @@ from steinalg.steinberg import (
 
 Z_WORD = omega(EPS, finword(zl(1)))
 Y_WORD = omega(EPS, finword(yl(1, 0)))
+
+
+def sparse_operator(shape, entries, boundary_cols=()) -> SparseOperator:
+    """SparseOperator from a {(i, j): c} dict; zero entries are dropped."""
+    cells = [(ij, c) for ij, c in sorted(entries.items()) if c != 0]
+    rows = np.array([i for (i, _), _ in cells], dtype=np.intp)
+    cols = np.array([j for (_, j), _ in cells], dtype=np.intp)
+    return SparseOperator(
+        shape,
+        rows,
+        cols,
+        np.arange(len(cells), dtype=np.intp),
+        tuple(c for _, c in cells),
+        frozenset(boundary_cols),
+    )
 
 
 def oracle_sigma_max(op) -> float:
@@ -404,6 +421,64 @@ def test_ball_operator_single_generator():
     assert op.boundary_cols == frozenset({idx["D"], idx["c"], idx["d"]})
 
 
+def oracle_ball_operator(coeffs, radius) -> SparseOperator:
+    """The column loop of free-word products: coefficient words longest
+    first, and a column stops at its first product that leaves the ball."""
+    words = ball(radius)
+    index = {w: i for i, w in enumerate(words)}
+    items = [
+        (h, c)
+        for h, c in sorted(
+            coeffs.items(), key=lambda t: t[0].sort_key(), reverse=True
+        )
+        if c != 0
+    ]
+    entries = {}
+    boundary = set()
+    for j, w in enumerate(words):
+        column = {}
+        for h, c in items:
+            i = index.get(h * w)
+            if i is None:
+                boundary.add(j)
+                break
+            column[(i, j)] = c
+        else:
+            entries.update(column)
+    return sparse_operator((len(words), len(words)), entries, boundary)
+
+
+# words up to length 9 reach past every radius drawn; the coefficient pool
+# repeats values and holds zero
+walk_words = st.text(alphabet="cCdD", max_size=9).map(free_word)
+walk_coeffs = st.sampled_from(
+    [Fraction(0), Fraction(1, 4), Fraction(-1, 3), Fraction(1), Fraction(2, 7)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(walk_words, walk_coeffs, max_size=6), st.integers(0, 7))
+@example({}, 3)
+@example({W_ONE: Fraction(1, 4), free_word("cd"): Fraction(0)}, 2)
+@example({h: Fraction(1, 12) for h in sphere(2)}, 1)
+@example({free_word("cdcdcdcd"): Fraction(1), free_word("DC"): Fraction(1)}, 4)
+def test_ball_operator_matches_column_loop(coeffs, radius):
+    op = h_ball_operator(coeffs, radius)
+    want = oracle_ball_operator(coeffs, radius)
+    assert op.shape == want.shape
+    assert op.entries == want.entries
+    assert op.boundary_cols == want.boundary_cols
+    assert opnorm_lower(op) == opnorm_lower(want)
+
+
+def test_ball_operator_rejects_foreign_letters():
+    for h in (free_word("a"), free_word("cB")):
+        with pytest.raises(ValueError):
+            h_ball_operator({h: Fraction(1)}, 3)
+    with pytest.raises(ValueError):
+        h_ball_operator({"c": Fraction(1)}, 3)
+
+
 def test_rho_validation():
     with pytest.raises(ValueError):
         rho_estimate((), radius=3)
@@ -459,6 +534,15 @@ def test_rho_non_sphere_symmetric_set():
     est = rho_estimate((free_word("c"), free_word("C")), radius=6, tol=1e-12)
     assert est.upper == 1.0
     assert 0.8 < est.lower <= 1.0  # the single-generator walk has norm 1
+    # as many steps as S_1 and closed under inverses, but not S_1: no radial
+    # path and no Haagerup bound
+    c, C = free_word("c"), free_word("C")
+    est = rho_estimate((c, C, c, C), radius=5)
+    generic = opnorm_lower(h_ball_operator({c: Fraction(1, 2), C: Fraction(1, 2)}, 5))
+    assert est == NormEstimate(
+        generic.lower, 1.0, generic.iterations, 5, generic.interior_cols
+    )
+    assert est.lower > 0.9 > rho_estimate(sphere(1), radius=5).lower
 
 
 def test_haagerup_frozen_values():

@@ -16,6 +16,7 @@ from steinalg.groups import (
     KElt,
     K_ONE,
     W_ONE,
+    ball,
     free_word,
     group_inv,
     group_mul,
@@ -162,6 +163,14 @@ def test_internal_products_pass_public_validation(g1, g2, k1, k2, x, w, ch):
         again = rebuilt(v)
         assert again == v
         assert hash(again) == hash(v)
+
+
+def test_ball_words_pass_public_validation():
+    # sphere and ball words are built unchecked as well
+    for w in ball(5):
+        again = rebuilt(w)
+        assert again == w
+        assert hash(again) == hash(w)
 
 
 @given(g_elts, g_elts, fin_words)
