@@ -57,8 +57,9 @@ from .groups import (
     hom_pi,
     hom_tau,
     sphere,
+    sphere_size,
 )
-from .repnorm import cauchy_profile, rho_estimate
+from .repnorm import CauchyProfile, cauchy_profile, rho_estimate
 from .selfsim import (
     EPS,
     Germ,
@@ -242,7 +243,7 @@ def _selfsim_support(checks: list) -> None:
     )
 
 
-def _selfsim_values(indices: tuple, rng: random.Random, checks: list) -> None:
+def _selfsim_values(limit_rows: tuple, rng: random.Random, checks: list) -> None:
     achib = st_conv(st_a(), st_chiB())
     bad = ""
     for ch in (1, 2):
@@ -254,16 +255,18 @@ def _selfsim_values(indices: tuple, rng: random.Random, checks: list) -> None:
     zw = finword(zl(1, K_ONE))
     if st_eval(achib, Germ(S_ONE, zw)) != 0:
         bad = bad or "(a*chiB)[1, z] != 0"
-    for n in indices:
+    # sup|b_n - chiB| is read off the Cauchy profile's limit rows
+    for row in limit_rows:
+        n = row.n
         abn = st_conv(st_a(), st_bn(n))
-        size = len(sphere(n))
+        size = sphere_size(n)
         h = s_from_group(h_elt(rng.choice(sphere(n))))
         if st_eval(abn, Germ(h, zw)) != Fraction(1, size):
             bad = bad or f"(a*b{n})[h, z] != 1/{size}"
         ah = s_mul(s_from_group(GElt(f=free_word("a"))), h)
         if st_eval(abn, Germ(ah, zw)) != Fraction(-1, size):
             bad = bad or f"(a*b{n})[ah, z] != -1/{size}"
-        if st_sup_dist(st_bn(n), st_chiB()) != Fraction(1, size):
+        if row.sup_dist != Fraction(1, size):
             bad = bad or f"sup|b{n} - chiB| != 1/{size}"
         if st_sup_dist(abn, achib) != Fraction(1, size):
             bad = bad or f"sup|a*b{n} - a*chiB| != 1/{size}"
@@ -352,23 +355,20 @@ def _selfsim_effectiveness(rng: random.Random, checks: list) -> None:
     )
 
 
-def _cauchy_section(indices: tuple, example: str, radius: int, tol: float, checks: list):
-    if len(indices) == 0:
-        return None
-    profile = cauchy_profile(indices, example=example, radius=radius, tol=tol)
+def _cauchy_section(indices: tuple, profile: CauchyProfile, checks: list) -> dict:
     bad = ""
     for row in profile.rows:
         if row.lower > row.upper + 1e-12:
             bad = bad or f"lower > upper at pair ({row.n},{row.m})"
-        if row.sup_dist != Fraction(1, len(sphere(min(row.n, row.m)))):
+        if row.sup_dist != Fraction(1, sphere_size(min(row.n, row.m))):
             bad = bad or f"sup distance off at pair ({row.n},{row.m})"
     for row in profile.limit_rows:
-        if row.sup_dist != Fraction(1, len(sphere(row.n))):
+        if row.sup_dist != Fraction(1, sphere_size(row.n)):
             bad = bad or f"limit sup distance off at n={row.n}"
     for n in indices:
         for m in indices:
             if n < m:
-                if example == "selfsim":
+                if profile.example == "selfsim":
                     coeffs = [c for _, c in st_sub(st_bn(n), st_bn(m)).terms]
                 else:
                     coeffs = [t[2] for t in bstein_sub(bundle_bn(n), bundle_bn(m)).terms]
@@ -442,7 +442,7 @@ def _bundle_values(indices: tuple, checks: list) -> None:
             bad = bad or f"(a*chiB)({arrow}) != {want}"
     for n in indices:
         bn = bundle_bn(n)
-        size = len(sphere(n))
+        size = sphere_size(n)
         h = sphere(n)[0]
         rows = [
             (barrow(0, W_ONE, x), Fraction(1)),
@@ -469,7 +469,7 @@ def _bundle_rates(indices: tuple, checks: list) -> None:
     A = bundle_a()
     achib = bstein_conv(A, bundle_chiB())
     for n in indices:
-        size = len(sphere(n))
+        size = sphere_size(n)
         if bundle_sup_dist(bundle_bn(n), bundle_chiB()) != Fraction(1, size):
             bad = bad or f"sup|b{n} - chiB| != 1/{size}"
         if bundle_sup_dist(bstein_conv(A, bundle_bn(n)), achib) != Fraction(1, size):
@@ -653,24 +653,23 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
     """Run the full check pipeline and emit a report."""
     rng = random.Random(seed)
     checks: list = []
-    cauchy = None
+    profile = cauchy_profile(indices, example, radius, tol) if indices else None
     if example == "selfsim":
         _selfsim_identities(rng, checks)
         _selfsim_germ_law(rng, checks)
         if indices:
             _selfsim_support(checks)
-            _selfsim_values(indices, rng, checks)
+            _selfsim_values(profile.limit_rows, rng, checks)
             _selfsim_witness(indices, rng, checks)
             _selfsim_verdicts(indices, rng, checks)
             _selfsim_effectiveness(rng, checks)
-            cauchy = _cauchy_section(indices, example, radius, tol, checks)
     else:
         _bundle_identities(rng, checks)
         if indices:
             _bundle_values(indices, checks)
             _bundle_rates(indices, checks)
             _bundle_verdicts(indices, rng, checks)
-            cauchy = _cauchy_section(indices, example, radius, tol, checks)
+    cauchy = _cauchy_section(indices, profile, checks) if indices else None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
@@ -710,7 +709,7 @@ def scatter(example, indices, radius, tol, seed, out, fmt) -> None:
         rows.append(
             {
                 "n": n,
-                "sphere_size": len(sphere(n)),
+                "sphere_size": sphere_size(n),
                 "lower": est.lower,
                 "upper": est.upper,
                 "radius": est.truncation_radius,

@@ -233,12 +233,18 @@ def hom_zeta(i: int, g: GElt) -> int:
 # spheres and balls in a free group
 # ---------------------------------------------------------------------------
 
+def sphere_size(n: int) -> int:
+    """The number of reduced words over c, d of length n >= 1: four
+    choices for the first letter and three for each later one."""
+    return 4 * 3 ** (n - 1)
+
+
 def sphere(n: int) -> tuple[FreeWord, ...]:
     """All reduced words over c, d of length exactly n >= 1, sorted
     deterministically.
 
-    Size is 4 * 3^(n-1).  n < 1 is rejected: the length-0 sphere is the
-    identity and never what a sphere average means here.
+    Size is ``sphere_size(n)``.  n < 1 is rejected: the length-0 sphere is
+    the identity and never what a sphere average means here.
     """
     if n < 1:
         raise ValueError(f"sphere radius must be >= 1, got {n}")

@@ -54,7 +54,7 @@ from .bundle import (
     fiber_values,
     stratum_units,
 )
-from .groups import FreeWord, H_GENS, W_ONE, ball
+from .groups import FreeWord, H_GENS, W_ONE, ball, sphere_size
 from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sub, st_sup_dist
 
 
@@ -320,7 +320,7 @@ def rho_estimate(
     sphere_n = None
     if len(lengths) == 1:
         n = lengths.pop()
-        if n >= 1 and len(set(ks)) == len(ks) == 4 * 3 ** (n - 1):
+        if n >= 1 and len(set(ks)) == len(ks) == sphere_size(n):
             sphere_n = n
     upper = haagerup_bound(sphere_n) if sphere_n is not None else 1.0
 
@@ -367,10 +367,17 @@ def _h_coeffs(f: SteinElt) -> dict[FreeWord, Fraction]:
 
 
 def _layered_upper(coeffs: Mapping[FreeWord, Fraction]) -> float:
+    """sum_l (l+1) ||f_l||_2, each layer's square norm summed exactly per
+    distinct coefficient times its multiplicity.  Coefficients are counted
+    by numerator and denominator, since hashing a Fraction costs a modular
+    inverse."""
     layers: dict[int, Fraction] = {}
-    for h, c in coeffs.items():
-        length = len(h.chars)
-        layers[length] = layers.get(length, Fraction(0)) + c * c
+    counts = Counter(
+        (len(h.chars), c.numerator, c.denominator) for h, c in coeffs.items()
+    )
+    for (length, p, q), mult in counts.items():
+        square = Fraction(mult * p * p, q * q)
+        layers[length] = layers.get(length, Fraction(0)) + square
     return sum((l + 1) * math.sqrt(q) for l, q in layers.items())
 
 

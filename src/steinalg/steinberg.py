@@ -12,13 +12,23 @@ four families.  Up to the stabilization length L = max source-prefix
 length + ``STABILIZATION_DEPTH`` (two letters), the germ partition of the
 terms and all their values are constant across each pattern class:
 index arithmetic at a generic position cancels between any two terms
-compared there, and restrictions die after two letters.  Length-L classes
-absorb every longer and infinite word and are exactly the classes whose
-germ sets contain open cylinders, so a function is singular precisely
-when no nonzero stratum has full pattern length.
+compared there, and restrictions die after two letters.
+
+A branch of depth one or more (region membership reads the first
+letter) settles once no source prefix stays alive below it and every
+restriction there is trivial; from then on each term copies the letters
+it reads, so the germ partition and the values are those of the whole
+cylinder.  A settled branch is one interior class, which may be shorter
+than L; its finite words, the pattern's own word included, fall into the
+cylinder's stratum instead of a stratum of their own.  Every length-L
+branch is settled, so the interior classes absorb every longer and
+infinite word.  The other classes are exact: finite words of one length,
+whose germ sets contain no open set.  A function is therefore singular
+precisely when no nonzero stratum is interior.
 
 One lazy walk over these classes serves both folds, ``st_support_strata``
-and ``st_sup_dist``; each computes a term's germ key once per class.
+and ``st_sup_dist``; the walk computes each term's germ key once per
+class and hands the keys to the folds.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .groups import FreeWord, GElt, KElt, W_ONE, free_word, hom_pi, sphere
+from .groups import FreeWord, GElt, G_ONE, KElt, W_ONE, free_word, hom_pi, sphere
 from .selfsim import (
     FinWord,
     Germ,
@@ -183,8 +193,11 @@ PatEntry = tuple  # ('lit', Letter) or ('gen', family, channel)
 class SupportStratum:
     """A germ class constant for the function: all germs [m, w] with m in
     ``members`` and w running over the base-word class described by
-    ``pattern`` (exact length len(pattern) when not ``interior``, all words
-    extending the pattern when ``interior``)."""
+    ``pattern``: the words of exact length len(pattern) when not
+    ``interior``; when ``interior``, the whole cylinder of words extending
+    the pattern, finite ones included.  An interior pattern is as long
+    as its branch took to settle, which may be shorter than the
+    stabilization length."""
 
     pattern: tuple[PatEntry, ...]
     rep_word: Word
@@ -210,37 +223,47 @@ def _fresh_letter(fam: str, ch: int, pos: int, ys: set[int], zs: set[KElt]) -> L
 
 
 def _word_classes(terms: tuple):
-    """Lazily yield ``(pattern, rep_word, interior, defined)`` per word class.
+    """Lazily yield ``(pattern, rep_word, interior, keyed)`` per word class.
 
-    ``terms`` are tuples whose first entry is an S-element.  ``defined``
-    holds the terms whose source prefix ``rep_word`` extends; full-length
-    classes are ``interior``, with an infinite representative.
+    ``terms`` are tuples whose first entry is an S-element.  ``keyed``
+    pairs each term whose source prefix ``rep_word`` extends with its
+    germ key there, computed once per class.
+
+    A node at depth >= 1 is settled when no written source prefix is still
+    alive below it and every key's residual is trivial (a key taken short
+    of |beta| + 2 letters carries the restriction past the representative
+    as its residual).  Past a settled node every term copies the letters
+    and its key strips them again, so the keys, the partition and both
+    regions' membership are constant on the whole cylinder: the node
+    yields one ``interior`` class, with an infinite representative and
+    the keys of the finite one, and the walk stops.  Every node at depth
+    L = max |beta| + ``STABILIZATION_DEPTH`` is settled.
     """
     elts = [t[0] for t in terms]
     L = max(len(s.beta) + STABILIZATION_DEPTH for s in elts)
     written = [x for s in elts for x in s.alpha + s.beta]
     ys = {x.index for x in written if x.family == "y"}
     zs = {x.index for x in written if x.family == "z"}
+    tail = FinWord((_fresh_letter("y", 1, L, ys, zs),))
 
     def walk(pos, pattern, rep, alive):
         rep_fin = FinWord(tuple(rep))
-        defined = [
-            t for t in terms if len(t[0].beta) <= pos and rep_fin.startswith(t[0].beta)
+        keyed = [
+            (t, germ_key(t[0], rep_fin))
+            for t in terms
+            if len(t[0].beta) <= pos and rep_fin.startswith(t[0].beta)
         ]
-        if pos == L:
-            tail = _fresh_letter("y", 1, L, ys, zs)
-            yield pattern, omega(rep_fin, FinWord((tail,))), True, defined
+        alive = [w for w in alive if len(w) > pos]
+        if pos and not alive and all(key[2] == G_ONE for _, key in keyed):
+            yield pattern, omega(rep_fin, tail), True, keyed
             return
-        yield pattern, rep_fin, False, defined
-        children = sorted(
-            {w[pos] for w in alive if len(w) > pos}, key=Letter.sort_key
-        )
-        for x in children:
+        yield pattern, rep_fin, False, keyed
+        for x in sorted({w[pos] for w in alive}, key=Letter.sort_key):
             yield from walk(
                 pos + 1,
                 pattern + (("lit", x),),
                 rep + [x],
-                [w for w in alive if len(w) > pos and w[pos] == x],
+                [w for w in alive if w[pos] == x],
             )
         for fam, ch in GEN_FAMILIES:
             x = _fresh_letter(fam, ch, pos, ys, zs)
@@ -254,18 +277,18 @@ def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
     """All nonzero germ-class strata of f, exact and exhaustive.
 
     One fold over the word classes: at each representative inside the
-    region, the defined terms are grouped by germ key, and each group
-    with nonzero coefficient sum is a stratum.
+    region, the defined terms are grouped by the germ keys the walk
+    yields, and each group with nonzero coefficient sum is a stratum.
     """
     if not f.terms:
         return ()
     strata: list[SupportStratum] = []
-    for pattern, rep, interior, defined in _word_classes(f.terms):
+    for pattern, rep, interior, keyed in _word_classes(f.terms):
         if not region_member(f.region, rep):
             continue
         groups: dict = {}
-        for s, c in defined:
-            groups.setdefault(germ_key(s, rep), []).append((s, c))
+        for (s, c), key in keyed:
+            groups.setdefault(key, []).append((s, c))
         for members in groups.values():
             value = sum((c for _, c in members), Fraction(0))
             if value != 0:
@@ -281,21 +304,20 @@ def st_sup_dist(f: SteinElt, g: SteinElt) -> Fraction:
 
     One fold over the word classes of f's terms with +c and g's with -c;
     the germ partition and both regions' membership (which reads only the
-    first letter) are constant on each class.  At each
-    representative every defined term's germ key is computed once, and
-    the signed coefficients of the terms inside their own region are
-    summed per key; the largest |sum| is the supremum.
+    first letter) are constant on each class.  At each representative the
+    signed coefficients of the defined terms inside their own region are
+    summed per germ key, as the walk yields them; the largest |sum| is the
+    supremum.
     """
     signed = [(s, c, 0) for s, c in f.terms] + [(s, -c, 1) for s, c in g.terms]
     if not signed:
         return Fraction(0)
     best = Fraction(0)
-    for _, rep, _, defined in _word_classes(signed):
+    for _, rep, _, keyed in _word_classes(signed):
         inside = (region_member(f.region, rep), region_member(g.region, rep))
         sums: dict = {}
-        for s, c, side in defined:
+        for (_, c, side), key in keyed:
             if inside[side]:
-                key = germ_key(s, rep)
                 sums[key] = sums.get(key, Fraction(0)) + c
         best = max([best, *map(abs, sums.values())])
     return best
@@ -366,8 +388,10 @@ class SingularVerdict:
 def st_is_singular(f: SteinElt) -> SingularVerdict:
     """Whether the support of f has empty interior.
 
-    Short-word strata contain no cylinder of base words, while every
-    full-length stratum does, so the verdict reads off the strata.
+    An exact stratum holds finite words of one length and contains no
+    cylinder of base words, while every interior stratum is a whole
+    cylinder, whatever its pattern length, so the verdict reads off the
+    strata.
     """
     strata = st_support_strata(f)
     interior = next((s for s in strata if s.interior), None)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,8 @@ import steinalg
 
 from steinalg import cli, repnorm
 from steinalg.cli import main
+from steinalg.repnorm import LimitRow
+from steinalg.steinberg import st_bn, st_chiB
 
 
 def run(*args, env=None):
@@ -140,6 +143,41 @@ def test_verify_csv_emits_cauchy_table():
     # limit rows keep the n and sup_dist columns only
     assert lines[2].startswith("1,,1/4,")
     assert lines[3].startswith("2,,1/12,")
+
+
+def test_verify_computes_each_limit_distance_once(monkeypatch):
+    # the value table reads sup|b_n - chiB| off the Cauchy profile
+    real = repnorm.st_sup_dist
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(repnorm, "st_sup_dist", counting)
+    monkeypatch.setattr(cli, "st_sup_dist", counting)
+    res = run("verify", "--indices", "1,2")
+    assert res.exit_code == 0
+    assert [f for f, g in calls if g == st_chiB()] == [st_bn(1), st_bn(2)]
+
+
+def test_verify_value_table_fails_on_a_wrong_limit_distance(monkeypatch):
+    real = cli.cauchy_profile
+
+    def doctored(*args):
+        prof = real(*args)
+        rows = tuple(
+            LimitRow(r.n, 2 * r.sup_dist) if r.n == 2 else r for r in prof.limit_rows
+        )
+        return dataclasses.replace(prof, limit_rows=rows)
+
+    monkeypatch.setattr(cli, "cauchy_profile", doctored)
+    res = run("verify", "--indices", "1,2")
+    assert res.exit_code == 1
+    checks = {c["id"]: c for c in json.loads(res.stdout)["checks"]}
+    assert checks["value-table"]["status"] == "fail"
+    assert checks["value-table"]["detail"] == "sup|b2 - chiB| != 1/12"
+    assert checks["cauchy-profile"]["status"] == "fail"
 
 
 # ---------------------------------------------------------------------------

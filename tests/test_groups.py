@@ -20,6 +20,7 @@ from steinalg.groups import (
     hom_tau,
     hom_zeta,
     sphere,
+    sphere_size,
 )
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def test_exp_sum_frozen_cases():
 def test_sphere_matches_bruteforce(n):
     got = sphere(n)
     assert {w.chars for w in got} == oracle_sphere(n, H_GENS)
-    assert len(got) == 4 * 3 ** (n - 1)
+    assert len(got) == 4 * 3 ** (n - 1) == sphere_size(n)
     assert list(got) == sorted(got, key=FreeWord.sort_key)
 
 

@@ -587,6 +587,27 @@ def test_norm_bound_difference_layers():
     assert 0.5 < est.lower <= est.upper + 1e-12
 
 
+def oracle_layered_upper(coeffs) -> float:
+    """sum_l (l+1) ||f_l||_2 with c*c added once per word."""
+    layers = {}
+    for h, c in coeffs.items():
+        layers[len(h.chars)] = layers.get(len(h.chars), Fraction(0)) + c * c
+    return sum((l + 1) * math.sqrt(q) for l, q in layers.items())
+
+
+@given(st.dictionaries(walk_words, walk_coeffs, max_size=12))
+@example({h: Fraction(1, 12) for h in sphere(2)})
+@example(
+    {
+        **{h: Fraction(1, 4) for h in sphere(1)},
+        **{h: Fraction(-1, 12) for h in sphere(2)},
+    }
+)
+def test_layered_upper_matches_per_word_sum(coeffs):
+    # summing per distinct coefficient gives the same exact layer norms
+    assert repnorm._layered_upper(coeffs) == oracle_layered_upper(coeffs)
+
+
 def test_bundle_norm_bound_matches_fiber_walk():
     diff_b = bstein_sub(bundle_bn(1), bundle_bn(2))
     diff_s = st_sub(st_bn(1), st_bn(2))

@@ -2,7 +2,10 @@
 
 oracle_conv_at recomputes products pointwise from germ factorizations:
 every factorization of a germ has its right factor among the germs of the
-right element's terms, so the sum is finite and exact.
+right element's terms, so the sum is finite and exact.  The word-class
+walk that stops at settled branches is checked against the full-depth
+walk, kept here as oracle_word_classes: every branch runs to the
+stabilization length, and only those full-length classes are open.
 """
 
 from fractions import Fraction
@@ -23,6 +26,8 @@ from steinalg.selfsim import (
     EPS,
     FinWord,
     Germ,
+    Letter,
+    STABILIZATION_DEPTH,
     S_ONE,
     SElt,
     finword,
@@ -37,9 +42,12 @@ from steinalg.selfsim import (
     zl,
 )
 from steinalg.steinberg import (
+    GEN_FAMILIES,
     REGION_B,
     REGION_FULL,
     SteinElt,
+    _fresh_letter,
+    _word_classes,
     h_elt,
     region_member,
     st_a,
@@ -478,3 +486,131 @@ def test_strata_rep_values_consistent():
     for f in (a_chiB(), st_conv(st_a(), st_bn(1)), st_bn(2)):
         for s in st_support_strata(f):
             assert st_eval(f, Germ(s.base, s.rep_word)) == s.value
+
+
+# ---------------------------------------------------------------------------
+# the settled word-class walk against the full-depth walk
+# ---------------------------------------------------------------------------
+
+
+def oracle_word_classes(terms):
+    """Yield ``(pattern, rep_word, interior, defined)`` for every class of
+    the full-depth walk: every branch runs to L = max |beta| + 2, and the
+    length-L classes, with an infinite representative, are the interior
+    ones."""
+    elts = [t[0] for t in terms]
+    L = max(len(s.beta) + STABILIZATION_DEPTH for s in elts)
+    written = [x for s in elts for x in s.alpha + s.beta]
+    ys = {x.index for x in written if x.family == "y"}
+    zs = {x.index for x in written if x.family == "z"}
+
+    def walk(pos, pattern, rep, alive):
+        rep_fin = FinWord(tuple(rep))
+        defined = [
+            t for t in terms if len(t[0].beta) <= pos and rep_fin.startswith(t[0].beta)
+        ]
+        if pos == L:
+            tail = _fresh_letter("y", 1, L, ys, zs)
+            yield pattern, omega(rep_fin, FinWord((tail,))), True, defined
+            return
+        yield pattern, rep_fin, False, defined
+        children = sorted(
+            {w[pos] for w in alive if len(w) > pos}, key=Letter.sort_key
+        )
+        for x in children:
+            yield from walk(
+                pos + 1,
+                pattern + (("lit", x),),
+                rep + [x],
+                [w for w in alive if len(w) > pos and w[pos] == x],
+            )
+        for fam, ch in GEN_FAMILIES:
+            x = _fresh_letter(fam, ch, pos, ys, zs)
+            yield from walk(pos + 1, pattern + (("gen", fam, ch),), rep + [x], [])
+
+    return walk(0, (), [], [s.beta for s in elts])
+
+
+def oracle_class_sums(f, rep, defined):
+    """Coefficient sum per germ key of f's terms at rep, inside f's region."""
+    sums = {}
+    if region_member(f.region, rep):
+        for s, c in defined:
+            key = germ_key(s, rep)
+            sums[key] = sums.get(key, Fraction(0)) + c
+    return sums
+
+
+def oracle_sup_dist(f, g):
+    """Largest |signed coefficient sum| per germ key over the full-depth
+    classes of f's terms with +c and g's with -c."""
+    signed = [(s, c, f) for s, c in f.terms] + [(s, -c, g) for s, c in g.terms]
+    if not signed:
+        return Fraction(0)
+    best = Fraction(0)
+    for _, rep, _, defined in oracle_word_classes(signed):
+        sums = {}
+        for s, c, side in defined:
+            if region_member(side.region, rep):
+                key = germ_key(s, rep)
+                sums[key] = sums.get(key, Fraction(0)) + c
+        best = max([best, *map(abs, sums.values())])
+    return best
+
+
+def oracle_singular(f):
+    """No nonzero germ class over a full-length (open) word class."""
+    if not f.terms:
+        return True
+    for _, rep, interior, defined in oracle_word_classes(f.terms):
+        if interior and any(oracle_class_sums(f, rep, defined).values()):
+            return False
+    return True
+
+
+def stratum_covers(stratum, pattern):
+    if stratum.interior:
+        return pattern[: len(stratum.pattern)] == stratum.pattern
+    return pattern == stratum.pattern
+
+
+any_region = st.sampled_from([REGION_FULL, REGION_B])
+stein_any = st.builds(
+    lambda ts, kind: st_make(ts, kind),
+    st.lists(st.tuples(s_elts, coeffs), max_size=3),
+    any_region,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stein_any, stein_any)
+def test_settled_walk_matches_full_depth_oracle(f, g):
+    # every germ of every full-depth class lies in one stratum of its value
+    strata = st_support_strata(f)
+    if f.terms:
+        for pattern, rep, _, defined in oracle_word_classes(f.terms):
+            sums = oracle_class_sums(f, rep, defined)
+            for s, _ in defined:
+                key = germ_key(s, rep)
+                hits = [
+                    st_
+                    for st_ in strata
+                    if stratum_covers(st_, pattern)
+                    and any(germ_key(m, rep) == key for m in st_.members)
+                ]
+                want = sums.get(key, Fraction(0))
+                assert [h.value for h in hits] == ([want] if want else [])
+    assert st_sup_dist(f, g) == oracle_sup_dist(f, g)
+    assert st_is_singular(f).singular == oracle_singular(f)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_settled_walk_class_counts(n):
+    # b_n - chiB settles at every first letter; a*b_n only at the z-letters
+    signed = [(s, c, 0) for s, c in st_bn(n).terms]
+    signed += [(s, -c, 1) for s, c in st_chiB().terms]
+    abn = st_conv(st_a(), st_bn(n)).terms
+    assert sum(1 for _ in _word_classes(signed)) == 5
+    assert sum(1 for _ in _word_classes(abn)) == 13
+    assert sum(1 for _ in oracle_word_classes(signed)) == 21
+    assert sum(1 for _ in oracle_word_classes(abn)) == 21
