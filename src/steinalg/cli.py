@@ -78,6 +78,7 @@ from .selfsim import (
 )
 from .steinberg import (
     REGION_B,
+    SteinElt,
     h_elt,
     region_member,
     st_a,
@@ -223,8 +224,8 @@ def _selfsim_germ_law(rng: random.Random, checks: list) -> None:
     )
 
 
-def _selfsim_support(checks: list) -> None:
-    verdict = st_is_singular(st_conv(st_a(), st_chiB()))
+def _selfsim_support(achib: SteinElt, checks: list) -> None:
+    verdict = st_is_singular(achib)
     names = set()
     ok = verdict.singular and len(verdict.strata) == 8
     for s in verdict.strata:
@@ -243,8 +244,9 @@ def _selfsim_support(checks: list) -> None:
     )
 
 
-def _selfsim_values(limit_rows: tuple, rng: random.Random, checks: list) -> None:
-    achib = st_conv(st_a(), st_chiB())
+def _selfsim_values(
+    achib: SteinElt, abn: dict, limit_rows: tuple, rng: random.Random, checks: list
+) -> None:
     bad = ""
     for ch in (1, 2):
         yw = finword(yl(ch, rng.randrange(-5, 6)))
@@ -258,17 +260,16 @@ def _selfsim_values(limit_rows: tuple, rng: random.Random, checks: list) -> None
     # sup|b_n - chiB| is read off the Cauchy profile's limit rows
     for row in limit_rows:
         n = row.n
-        abn = st_conv(st_a(), st_bn(n))
         size = sphere_size(n)
         h = s_from_group(h_elt(rng.choice(sphere(n))))
-        if st_eval(abn, Germ(h, zw)) != Fraction(1, size):
+        if st_eval(abn[n], Germ(h, zw)) != Fraction(1, size):
             bad = bad or f"(a*b{n})[h, z] != 1/{size}"
         ah = s_mul(s_from_group(GElt(f=free_word("a"))), h)
-        if st_eval(abn, Germ(ah, zw)) != Fraction(-1, size):
+        if st_eval(abn[n], Germ(ah, zw)) != Fraction(-1, size):
             bad = bad or f"(a*b{n})[ah, z] != -1/{size}"
         if row.sup_dist != Fraction(1, size):
             bad = bad or f"sup|b{n} - chiB| != 1/{size}"
-        if st_sup_dist(abn, achib) != Fraction(1, size):
+        if st_sup_dist(abn[n], achib) != Fraction(1, size):
             bad = bad or f"sup|a*b{n} - a*chiB| != 1/{size}"
     _check(
         checks,
@@ -279,13 +280,14 @@ def _selfsim_values(limit_rows: tuple, rng: random.Random, checks: list) -> None
     )
 
 
-def _selfsim_witness(indices: tuple, rng: random.Random, checks: list) -> None:
+def _selfsim_witness(
+    achib: SteinElt, abn: dict, rng: random.Random, checks: list
+) -> None:
     bad = ""
-    if st_open_witness(st_conv(st_a(), st_chiB())) is not None:
+    if st_open_witness(achib) is not None:
         bad = "a*chiB yields an open witness"
-    for n in indices:
-        abn = st_conv(st_a(), st_bn(n))
-        w = st_open_witness(abn)
+    for n, prod in abn.items():
+        w = st_open_witness(prod)
         if w is None:
             bad = bad or f"no open witness for a*b{n}"
             continue
@@ -294,7 +296,7 @@ def _selfsim_witness(indices: tuple, rng: random.Random, checks: list) -> None:
             while k in w.excluded:
                 k = _sample_kelt(rng)
             word = s_apply(s_from_word(finword(zl(w.channel, k))), _sample_word(rng))
-            val = st_eval(abn, Germ(s_from_group(w.group_elt), word))
+            val = st_eval(prod, Germ(s_from_group(w.group_elt), word))
             if abs(val) != w.floor or val == 0:
                 bad = bad or f"witness value |{val}| != floor {w.floor} for a*b{n}"
     _check(
@@ -306,10 +308,10 @@ def _selfsim_witness(indices: tuple, rng: random.Random, checks: list) -> None:
     )
 
 
-def _selfsim_verdicts(indices: tuple, rng: random.Random, checks: list) -> None:
+def _selfsim_verdicts(abn: dict, rng: random.Random, checks: list) -> None:
     bad = ""
-    for n in indices:
-        v = st_is_singular(st_conv(st_a(), st_bn(n)))
+    for n, prod in abn.items():
+        v = st_is_singular(prod)
         if v.singular or v.witness is None:
             bad = bad or f"a*b{n} not recognized as nonsingular with witness"
     # U ranges over neighborhoods of support points of a*chiB, which are
@@ -658,10 +660,13 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
         _selfsim_identities(rng, checks)
         _selfsim_germ_law(rng, checks)
         if indices:
-            _selfsim_support(checks)
-            _selfsim_values(profile.limit_rows, rng, checks)
-            _selfsim_witness(indices, rng, checks)
-            _selfsim_verdicts(indices, rng, checks)
+            # a*chiB and each a*b_n are built once and shared by the checks
+            achib = st_conv(st_a(), st_chiB())
+            abn = {n: st_conv(st_a(), st_bn(n)) for n in indices}
+            _selfsim_support(achib, checks)
+            _selfsim_values(achib, abn, profile.limit_rows, rng, checks)
+            _selfsim_witness(achib, abn, rng, checks)
+            _selfsim_verdicts(abn, rng, checks)
             _selfsim_effectiveness(rng, checks)
     else:
         _bundle_identities(rng, checks)

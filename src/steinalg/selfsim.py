@@ -29,6 +29,10 @@ from .groups import (
     G_ONE,
     KElt,
     K_ONE,
+    W_ONE,
+    _gelt,
+    _kelt,
+    free_mul,
     group_inv,
     hom_pi,
     hom_tau,
@@ -194,19 +198,33 @@ def act_letter(g: GElt, x: Letter) -> Letter:
     return _letter("z", x.channel, hom_pi(x.channel, g) * x.index)
 
 
-def restrict_letter(g: GElt, x: Letter) -> GElt:
-    if x.family == "y":
-        return hom_tau(g)
-    return G_ONE
-
-
 def _act_letters(g: GElt, letters: tuple) -> tuple[tuple, GElt]:
-    """Images of ``letters`` under g and the restriction of g past them."""
-    imgs = []
-    for x in letters:
-        imgs.append(act_letter(g, x))
-        g = restrict_letter(g, x)
-    return tuple(imgs), g
+    """Images of ``letters`` under g and the restriction of g past them.
+
+    The letter action in closed form.  A y-letter's index moves by
+    zeta_ch(g) and the restriction becomes tau(g) = (1, 1, sigma_a(f),
+    sigma_b(f)), read off the characters of the F-part; a z-letter's
+    index is multiplied by pi_ch(g) and the restriction becomes trivial.
+    Once the running element is the identity the remaining letters are
+    copied, so at most ``STABILIZATION_DEPTH`` letters are acted on.
+    """
+    imgs = ()
+    i = 0
+    while i < len(letters) and not g.is_identity():
+        x = letters[i]
+        shift = g.n if x.channel == 1 else g.m
+        if x.family == "y":
+            imgs += (_letter("y", x.channel, x.index + shift) if shift else x,)
+            f = g.f.chars
+            sa, sb = f.count("a") - f.count("A"), f.count("b") - f.count("B")
+            g = _gelt(W_ONE, W_ONE, sa, sb)
+        else:
+            k = x.index
+            img = _kelt(free_mul(g.h, k.h), free_mul(g.f, k.f), shift + k.n)
+            imgs += (_letter("z", x.channel, img),)
+            g = G_ONE
+        i += 1
+    return imgs + letters[i:], g
 
 
 def act_word(g: GElt, w: FinWord) -> tuple[FinWord, GElt]:
@@ -366,16 +384,17 @@ def germ_key(s: SElt, w: Word):
     stripping makes the key independent of how far s was cut down around
     w, and the shift and the stripped image give back the whole image.
     """
-    if not s_defined_at(s, w):
-        raise ValueError(f"germ undefined: {s} at {w}")
     k = len(s.beta.letters)
     src = w.prefix(k + STABILIZATION_DEPTH).letters
+    if s.zero or src[:k] != s.beta.letters:
+        raise ValueError(f"germ undefined: {s} at {w}")
     img, residual = _act_letters(s.g, src[k:])
     shift = len(s.alpha.letters) - k
     head = s.alpha.letters + img
-    while len(head) > max(shift, 0) and head[-1] == src[len(head) - 1 - shift]:
-        head = head[:-1]
-    return shift, head, residual
+    n, stop = len(head), max(shift, 0)
+    while n > stop and head[n - 1] == src[n - 1 - shift]:
+        n -= 1
+    return shift, head[:n], residual
 
 
 def germ_eq(s: SElt, t: SElt, w: Word) -> bool:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .groups import FreeWord, GElt, G_ONE, KElt, W_ONE, free_word, hom_pi, sphere
@@ -273,26 +274,37 @@ def _word_classes(terms: tuple):
     return walk(0, (), [], [s.beta for s in elts])
 
 
+def _on_common_denominator(terms: list) -> tuple[list, int]:
+    """``terms`` with each coefficient c (the second entry) replaced by
+    the integer c * D, and D, the lcm of the coefficients' denominators."""
+    d = lcm(*(t[1].denominator for t in terms))
+    return [(t[0], t[1].numerator * (d // t[1].denominator), *t[2:]) for t in terms], d
+
+
 def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
     """All nonzero germ-class strata of f, exact and exhaustive.
 
     One fold over the word classes: at each representative inside the
     region, the defined terms are grouped by the germ keys the walk
     yields, and each group with nonzero coefficient sum is a stratum.
+    The sums add integer numerators over the lcm of the coefficients'
+    denominators, and each stratum's value is one exact ``Fraction``.
     """
     if not f.terms:
         return ()
+    terms, denom = _on_common_denominator(f.terms)
     strata: list[SupportStratum] = []
-    for pattern, rep, interior, keyed in _word_classes(f.terms):
+    for pattern, rep, interior, keyed in _word_classes(terms):
         if not region_member(f.region, rep):
             continue
         groups: dict = {}
         for (s, c), key in keyed:
             groups.setdefault(key, []).append((s, c))
         for members in groups.values():
-            value = sum((c for _, c in members), Fraction(0))
-            if value != 0:
+            total = sum(c for _, c in members)
+            if total:
                 ms = tuple(sorted((s for s, _ in members), key=SElt.sort_key))
+                value = Fraction(total, denom)
                 strata.append(
                     SupportStratum(pattern, rep, ms[0], ms, value, interior)
                 )
@@ -307,20 +319,22 @@ def st_sup_dist(f: SteinElt, g: SteinElt) -> Fraction:
     first letter) are constant on each class.  At each representative the
     signed coefficients of the defined terms inside their own region are
     summed per germ key, as the walk yields them; the largest |sum| is the
-    supremum.
+    supremum.  The sums add integer numerators over the lcm of all the
+    denominators, and the supremum becomes a ``Fraction`` once, at the end.
     """
     signed = [(s, c, 0) for s, c in f.terms] + [(s, -c, 1) for s, c in g.terms]
     if not signed:
         return Fraction(0)
-    best = Fraction(0)
+    signed, denom = _on_common_denominator(signed)
+    best = 0
     for _, rep, _, keyed in _word_classes(signed):
         inside = (region_member(f.region, rep), region_member(g.region, rep))
         sums: dict = {}
         for (_, c, side), key in keyed:
             if inside[side]:
-                sums[key] = sums.get(key, Fraction(0)) + c
+                sums[key] = sums.get(key, 0) + c
         best = max([best, *map(abs, sums.values())])
-    return best
+    return Fraction(best, denom)
 
 
 # ---------------------------------------------------------------------------

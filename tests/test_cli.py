@@ -15,7 +15,7 @@ import steinalg
 from steinalg import cli, repnorm
 from steinalg.cli import main
 from steinalg.repnorm import LimitRow
-from steinalg.steinberg import st_bn, st_chiB
+from steinalg.steinberg import st_a, st_bn, st_chiB
 
 
 def run(*args, env=None):
@@ -159,6 +159,23 @@ def test_verify_computes_each_limit_distance_once(monkeypatch):
     res = run("verify", "--indices", "1,2")
     assert res.exit_code == 0
     assert [f for f, g in calls if g == st_chiB()] == [st_bn(1), st_bn(2)]
+
+
+def test_verify_builds_each_selfsim_product_once(monkeypatch):
+    # a*chiB and each a*b_n are built once and shared by the checks
+    real = cli.st_conv
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(cli, "st_conv", counting)
+    res = run("verify", "--indices", "1,2")
+    assert res.exit_code == 0
+    assert all(f == st_a() for f, _ in calls)
+    rights = [g for _, g in calls]
+    assert [rights.count(g) for g in (st_chiB(), st_bn(1), st_bn(2))] == [1, 1, 1]
 
 
 def test_verify_value_table_fails_on_a_wrong_limit_distance(monkeypatch):

@@ -40,7 +40,6 @@ from steinalg.selfsim import (
     germ_eq,
     germ_key,
     omega,
-    restrict_letter,
     s_apply,
     s_defined_at,
     s_from_group,
@@ -56,6 +55,23 @@ from steinalg.selfsim import (
 # ---------------------------------------------------------------------------
 # oracles and strategies
 # ---------------------------------------------------------------------------
+
+
+def restrict_letter(g, x):
+    """The restriction of g past one letter: tau(g) past a y-letter, the
+    identity past a z-letter."""
+    if x.family == "y":
+        return hom_tau(g)
+    return G_ONE
+
+
+def oracle_act_letters(g, letters):
+    """The action letter by letter: act, then restrict, at every letter."""
+    imgs = []
+    for x in letters:
+        imgs.append(act_letter(g, x))
+        g = restrict_letter(g, x)
+    return tuple(imgs), g
 
 
 def oracle_germ_eq(s, t, w):
@@ -171,6 +187,29 @@ def test_ball_words_pass_public_validation():
         again = rebuilt(w)
         assert again == w
         assert hash(again) == hash(w)
+
+
+# the identity, an element with h = f = 1, and a general element
+kinds_of_g = st.one_of(
+    st.just(G_ONE),
+    st.builds(
+        lambda n, m: GElt(W_ONE, W_ONE, n, m), st.integers(-2, 2), st.integers(-2, 2)
+    ),
+    g_elts,
+)
+long_words = st.builds(lambda ls: FinWord(tuple(ls)), st.lists(letters, max_size=6))
+
+
+@settings(max_examples=200)
+@given(kinds_of_g, long_words, st.lists(letters, min_size=1, max_size=3))
+def test_action_matches_letter_by_letter_oracle(g, w, period):
+    img, r = act_word(g, w)
+    assert (img.letters, r) == oracle_act_letters(g, w.letters)
+    u = omega(w, FinWord(tuple(period)))
+    depth = len(u.head) + 2 * len(u.period) + 3
+    assert act_omega(g, u).prefix(depth).letters == oracle_act_letters(
+        g, u.prefix(depth).letters
+    )[0]
 
 
 @given(g_elts, g_elts, fin_words)
@@ -357,6 +396,16 @@ def test_germ_undefined_raises():
     s = SElt(EPS, G_ONE, finword(yl(1, 0)))
     with pytest.raises(ValueError):
         germ_eq(s, S_ONE, finword(zl(1, K_ONE)))
+    # the zero element, a proper prefix of beta, an omega word off beta
+    long_beta = SElt(EPS, G_ONE, finword(yl(1, 0), zl(2, K_ONE)))
+    off_beta = omega(finword(yl(1, 0)), finword(yl(2, 1)))
+    for t, w in (
+        (S_ZERO, finword(yl(1, 0))),
+        (long_beta, finword(yl(1, 0))),
+        (long_beta, off_beta),
+    ):
+        with pytest.raises(ValueError, match="germ undefined"):
+            germ_key(t, w)
 
 
 @settings(max_examples=300)

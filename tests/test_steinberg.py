@@ -109,7 +109,9 @@ letters = st.one_of(
 )
 small_words = st.builds(lambda ls: FinWord(tuple(ls)), st.lists(letters, max_size=2))
 s_elts = st.builds(SElt, small_words, g_elts, small_words)
-coeffs = st.builds(Fraction, st.integers(-2, 2).filter(bool), st.integers(1, 3))
+# denominators up to 12 give the folds' common-denominator sums lcms well
+# above any single denominator
+coeffs = st.builds(Fraction, st.integers(-2, 2).filter(bool), st.integers(1, 12))
 stein_full = st.builds(
     lambda ts: st_make(ts), st.lists(st.tuples(s_elts, coeffs), max_size=2)
 )
