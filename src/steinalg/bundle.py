@@ -47,9 +47,6 @@ class BUnit:
         if self.kind == "eps" and self.i != 0:
             raise ValueError("eps carries no indices")
 
-    def sort_key(self):
-        return (self.kind, self.i, self.j)
-
     def __str__(self) -> str:
         if self.kind == "x":
             return f"x[{self.i},{self.j}]"
@@ -94,9 +91,6 @@ class BArrow:
             raise ValueError("x-fibers are trivial")
         if self.unit.kind == "y" and not self.h.is_identity():
             raise ValueError("y-fibers have no free part")
-
-    def sort_key(self):
-        return (self.unit.sort_key(), self.bit, self.h.sort_key())
 
     def __str__(self) -> str:
         return f"({self.bit},{self.h};{self.unit})"
@@ -449,8 +443,9 @@ def bundle_is_singular(f: BSteinElt) -> BundleVerdict:
 
     The isolated arrows are exactly those over x- and z-units, and every
     nonempty open set contains one, so f is singular iff its fiber table
-    is empty at every x- and z-unit of ``stratum_units``.  The witness is
-    the first nonzero arrow in ``BArrow.sort_key`` order.
+    is empty at every x- and z-unit of ``stratum_units``.  The witness
+    lies over the first such unit, in ``stratum_units`` order, with a
+    nonempty table, at its least (bit, h) there.
     """
     for u in stratum_units((f,)):
         if u.kind not in ("x", "z"):

@@ -24,13 +24,13 @@ from typing import Optional
 import click
 
 from .bundle import (
+    BSteinElt,
     B_ZERO,
     barrow,
     bstein_conv,
     bstein_eval,
     bstein_scale,
     bstein_star,
-    bstein_sub,
     bundle_a,
     bundle_bn,
     bundle_chi,
@@ -89,7 +89,6 @@ from .steinberg import (
     st_eval,
     st_is_singular,
     st_open_witness,
-    st_sub,
     st_sup_dist,
 )
 from .syntax import ParseError, parse_buset, parse_selt
@@ -357,7 +356,7 @@ def _selfsim_effectiveness(rng: random.Random, checks: list) -> None:
     )
 
 
-def _cauchy_section(indices: tuple, profile: CauchyProfile, checks: list) -> dict:
+def _cauchy_section(profile: CauchyProfile, checks: list) -> dict:
     bad = ""
     for row in profile.rows:
         if row.lower > row.upper + 1e-12:
@@ -367,15 +366,9 @@ def _cauchy_section(indices: tuple, profile: CauchyProfile, checks: list) -> dic
     for row in profile.limit_rows:
         if row.sup_dist != Fraction(1, sphere_size(row.n)):
             bad = bad or f"limit sup distance off at n={row.n}"
-    for n in indices:
-        for m in indices:
-            if n < m:
-                if profile.example == "selfsim":
-                    coeffs = [c for _, c in st_sub(st_bn(n), st_bn(m)).terms]
-                else:
-                    coeffs = [t[2] for t in bstein_sub(bundle_bn(n), bundle_bn(m)).terms]
-                if sum(coeffs, Fraction(0)) != 0:
-                    bad = bad or f"pi_triv part of b{n}-b{m} nonzero"
+    for row in profile.rows:
+        if row.pi_triv != 0:
+            bad = bad or f"pi_triv part of b{row.n}-b{row.m} nonzero"
     _check(
         checks,
         "cauchy-profile",
@@ -427,8 +420,7 @@ def _bundle_identities(rng: random.Random, checks: list) -> None:
     )
 
 
-def _bundle_values(indices: tuple, checks: list) -> None:
-    achib = bstein_conv(bundle_a(), bundle_chiB())
+def _bundle_values(achib: BSteinElt, indices: tuple, checks: list) -> None:
     x, y, z = ux(2, 3), uy(2), uz(5)
     bad = ""
     table = [
@@ -466,15 +458,17 @@ def _bundle_values(indices: tuple, checks: list) -> None:
     )
 
 
-def _bundle_rates(indices: tuple, checks: list) -> None:
+def _bundle_rates(
+    achib: BSteinElt, abn: dict, limit_rows: tuple, checks: list
+) -> None:
     bad = ""
-    A = bundle_a()
-    achib = bstein_conv(A, bundle_chiB())
-    for n in indices:
+    # sup|b_n - chiB| is read off the Cauchy profile's limit rows
+    for row in limit_rows:
+        n = row.n
         size = sphere_size(n)
-        if bundle_sup_dist(bundle_bn(n), bundle_chiB()) != Fraction(1, size):
+        if row.sup_dist != Fraction(1, size):
             bad = bad or f"sup|b{n} - chiB| != 1/{size}"
-        if bundle_sup_dist(bstein_conv(A, bundle_bn(n)), achib) != Fraction(1, size):
+        if bundle_sup_dist(abn[n], achib) != Fraction(1, size):
             bad = bad or f"sup|a*b{n} - a*chiB| != 1/{size}"
     _check(
         checks,
@@ -484,19 +478,20 @@ def _bundle_rates(indices: tuple, checks: list) -> None:
     )
 
 
-def _bundle_verdicts(indices: tuple, rng: random.Random, checks: list) -> None:
+def _bundle_verdicts(
+    achib: BSteinElt, abn: dict, rng: random.Random, checks: list
+) -> None:
     bad = ""
-    A = bundle_a()
-    if not bundle_is_singular(bstein_conv(A, bundle_chiB())).singular:
+    if not bundle_is_singular(achib).singular:
         bad = "a*chiB not singular"
-    for n in indices:
-        v = bundle_is_singular(bstein_conv(A, bundle_bn(n)))
+    for n, prod in abn.items():
+        v = bundle_is_singular(prod)
         if v.singular or v.witness is None:
             bad = bad or f"a*b{n} not nonsingular with isolated witness"
     for _ in range(5):
         i = rng.randrange(1, 8)
         U = buset(cols={i: (rng.random() < 0.5, {rng.randrange(1, 8)})})
-        prod = bstein_conv(A, bundle_chi(U))
+        prod = bstein_conv(bundle_a(), bundle_chi(U))
         if not bundle_is_singular(prod).singular or prod == B_ZERO:
             bad = bad or f"a*chi_U not singular and nonzero at U = {U}"
     _check(
@@ -656,11 +651,11 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
     rng = random.Random(seed)
     checks: list = []
     profile = cauchy_profile(indices, example, radius, tol) if indices else None
+    # a*chiB and each a*b_n are built once and shared by the checks
     if example == "selfsim":
         _selfsim_identities(rng, checks)
         _selfsim_germ_law(rng, checks)
         if indices:
-            # a*chiB and each a*b_n are built once and shared by the checks
             achib = st_conv(st_a(), st_chiB())
             abn = {n: st_conv(st_a(), st_bn(n)) for n in indices}
             _selfsim_support(achib, checks)
@@ -671,10 +666,12 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
     else:
         _bundle_identities(rng, checks)
         if indices:
-            _bundle_values(indices, checks)
-            _bundle_rates(indices, checks)
-            _bundle_verdicts(indices, rng, checks)
-    cauchy = _cauchy_section(indices, profile, checks) if indices else None
+            achib = bstein_conv(bundle_a(), bundle_chiB())
+            abn = {n: bstein_conv(bundle_a(), bundle_bn(n)) for n in indices}
+            _bundle_values(achib, indices, checks)
+            _bundle_rates(achib, abn, profile.limit_rows, checks)
+            _bundle_verdicts(achib, abn, rng, checks)
+    cauchy = _cauchy_section(profile, checks) if indices else None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

@@ -466,11 +466,16 @@ def bundle_norm_bound(
 
 @dataclass(frozen=True)
 class CauchyRow:
+    """One pair n < m: the exact sup distance of b_n and b_m, the norm
+    bounds of b_n - b_m, and ``pi_triv``, the coefficient sum of that
+    difference (its image under the trivial representation)."""
+
     n: int
     m: int
     sup_dist: Fraction
     upper: float
     lower: float
+    pi_triv: Fraction
 
 
 @dataclass(frozen=True)
@@ -496,12 +501,12 @@ def cauchy_profile(
     """Pairwise distances between the sphere averages b_n.
 
     For each pair n < m of indices one row records the exact pointwise
-    sup distance and a certified two-sided bound for the reduced norm of
-    b_n - b_m; limit rows record the sup distance to the indicator of the
-    y-rooted half.  Pointwise the b_n converge (sup distances vanish),
-    and the norm rows tend to 0 as well: the certified upper bound of a
-    pair is haagerup_bound(n) + haagerup_bound(m), so the b_n are Cauchy
-    in the reduced norm.
+    sup distance, a certified two-sided bound for the reduced norm of
+    b_n - b_m, and the coefficient sum of b_n - b_m; limit rows record
+    the sup distance to the indicator of the y-rooted half.  Pointwise
+    the b_n converge (sup distances vanish), and the norm rows tend to 0
+    as well: the certified upper bound of a pair is haagerup_bound(n) +
+    haagerup_bound(m), so the b_n are Cauchy in the reduced norm.
     """
     idx = sorted(set(indices))
     for n in idx:
@@ -511,24 +516,27 @@ def cauchy_profile(
         elts = {n: st_bn(n) for n in idx}
         limit = st_chiB()
         dist = st_sup_dist
-        bound = lambda n, m: stein_H_norm_bound(
-            st_sub(elts[n], elts[m]), radius, tol
-        )
+
+        def bound(n, m):
+            d = st_sub(elts[n], elts[m])
+            return stein_H_norm_bound(d, radius, tol), sum(c for _, c in d.terms)
+
     elif example == "bundle":
         elts = {n: bundle_bn(n) for n in idx}
         limit = bundle_chiB()
         dist = bundle_sup_dist
-        bound = lambda n, m: bundle_norm_bound(
-            bstein_sub(elts[n], elts[m]), radius, tol
-        )
+
+        def bound(n, m):
+            d = bstein_sub(elts[n], elts[m])
+            return bundle_norm_bound(d, radius, tol), sum(t[2] for t in d.terms)
+
     else:
         raise ValueError(f"unknown example {example!r}")
     rows = []
     for i, n in enumerate(idx):
         for m in idx[i + 1:]:
-            est = bound(n, m)
-            rows.append(
-                CauchyRow(n, m, dist(elts[n], elts[m]), est.upper, est.lower)
-            )
+            est, pi_triv = bound(n, m)
+            sup = dist(elts[n], elts[m])
+            rows.append(CauchyRow(n, m, sup, est.upper, est.lower, pi_triv))
     limit_rows = tuple(LimitRow(n, dist(elts[n], limit)) for n in idx)
     return CauchyProfile(example, radius, tuple(rows), limit_rows)

@@ -150,16 +150,8 @@ class OmegaWord:
             out.extend(p)
         return FinWord(tuple(out[:n]))
 
-    def letter_at(self, i: int) -> Letter:
-        if i < len(self.head):
-            return self.head.letters[i]
-        return self.period.letters[(i - len(self.head)) % len(self.period)]
-
     def startswith(self, prefix: FinWord) -> bool:
         return self.prefix(len(prefix)) == prefix
-
-    def sort_key(self):
-        return (self.head.sort_key(), self.period.sort_key())
 
     def __str__(self) -> str:
         tail = f"({self.period})^w"

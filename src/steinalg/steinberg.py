@@ -26,9 +26,11 @@ infinite word.  The other classes are exact: finite words of one length,
 whose germ sets contain no open set.  A function is therefore singular
 precisely when no nonzero stratum is interior.
 
-One lazy walk over these classes serves both folds, ``st_support_strata``
-and ``st_sup_dist``; the walk computes each term's germ key once per
-class and hands the keys to the folds.
+One lazy fold over these classes, ``_class_sums``, keys each term once
+per class and sums integer numerators per germ key.  Both readers take
+its sums: ``st_support_strata`` turns each nonzero one into a stratum,
+and ``st_sup_dist``, fed f with sign +1 and g with -1, keeps the
+largest |sum|.
 """
 
 from __future__ import annotations
@@ -223,12 +225,17 @@ def _fresh_letter(fam: str, ch: int, pos: int, ys: set[int], zs: set[KElt]) -> L
     return Letter("z", ch, KElt(free_word("c" * depth), W_ONE, 0))
 
 
-def _word_classes(terms: tuple):
-    """Lazily yield ``(pattern, rep_word, interior, keyed)`` per word class.
+def _class_sums(parts: list) -> tuple:
+    """The word classes of signed elements, with integer sums per germ.
 
-    ``terms`` are tuples whose first entry is an S-element.  ``keyed``
-    pairs each term whose source prefix ``rep_word`` extends with its
-    germ key there, computed once per class.
+    ``parts`` pairs each element with a sign.  Returns ``(D, classes)``:
+    D is the lcm of the coefficients' denominators, and ``classes``
+    lazily yields ``(pattern, rep_word, interior, sums)`` per word class.
+    ``sums`` maps each germ key at ``rep_word`` to ``[numerator,
+    members]``: the terms defined there inside their own element's region
+    with that key, and the sum of their signed coefficients times D.
+    Each defined term is keyed once per class, and each region is tested
+    once per class.
 
     A node at depth >= 1 is settled when no written source prefix is still
     alive below it and every key's residual is trivial (a key taken short
@@ -240,9 +247,14 @@ def _word_classes(terms: tuple):
     the keys of the finite one, and the walk stops.  Every node at depth
     L = max |beta| + ``STABILIZATION_DEPTH`` is settled.
     """
-    elts = [t[0] for t in terms]
-    L = max(len(s.beta) + STABILIZATION_DEPTH for s in elts)
-    written = [x for s in elts for x in s.alpha + s.beta]
+    signed = [(s, sign * c, i) for i, (f, sign) in enumerate(parts) for s, c in f.terms]
+    if not signed:
+        return 1, iter(())
+    denom = lcm(*(c.denominator for _, c, _ in signed))
+    terms = [(s, c.numerator * (denom // c.denominator), i) for s, c, i in signed]
+    regions = [f.region for f, _ in parts]
+    L = max(len(s.beta) + STABILIZATION_DEPTH for s, _, _ in terms)
+    written = [x for s, _, _ in terms for x in s.alpha + s.beta]
     ys = {x.index for x in written if x.family == "y"}
     zs = {x.index for x in written if x.family == "z"}
     tail = FinWord((_fresh_letter("y", 1, L, ys, zs),))
@@ -255,10 +267,18 @@ def _word_classes(terms: tuple):
             if len(t[0].beta) <= pos and rep_fin.startswith(t[0].beta)
         ]
         alive = [w for w in alive if len(w) > pos]
-        if pos and not alive and all(key[2] == G_ONE for _, key in keyed):
-            yield pattern, omega(rep_fin, tail), True, keyed
+        settled = pos > 0 and not alive and all(key[2] == G_ONE for _, key in keyed)
+        word = omega(rep_fin, tail) if settled else rep_fin
+        inside = [region_member(r, word) for r in regions]
+        sums: dict = {}
+        for (s, num, i), key in keyed:
+            if inside[i]:
+                entry = sums.setdefault(key, [0, []])
+                entry[0] += num
+                entry[1].append(s)
+        yield pattern, word, settled, sums
+        if settled:
             return
-        yield pattern, rep_fin, False, keyed
         for x in sorted({w[pos] for w in alive}, key=Letter.sort_key):
             yield from walk(
                 pos + 1,
@@ -271,69 +291,33 @@ def _word_classes(terms: tuple):
             yield from walk(pos + 1, pattern + (("gen", fam, ch),), rep + [x], [])
         # generic letters match no written prefix, so nothing stays alive
 
-    return walk(0, (), [], [s.beta for s in elts])
-
-
-def _on_common_denominator(terms: list) -> tuple[list, int]:
-    """``terms`` with each coefficient c (the second entry) replaced by
-    the integer c * D, and D, the lcm of the coefficients' denominators."""
-    d = lcm(*(t[1].denominator for t in terms))
-    return [(t[0], t[1].numerator * (d // t[1].denominator), *t[2:]) for t in terms], d
+    return denom, walk(0, (), [], [s.beta for s, _, _ in terms])
 
 
 def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
-    """All nonzero germ-class strata of f, exact and exhaustive.
-
-    One fold over the word classes: at each representative inside the
-    region, the defined terms are grouped by the germ keys the walk
-    yields, and each group with nonzero coefficient sum is a stratum.
-    The sums add integer numerators over the lcm of the coefficients'
-    denominators, and each stratum's value is one exact ``Fraction``.
-    """
-    if not f.terms:
-        return ()
-    terms, denom = _on_common_denominator(f.terms)
+    """All nonzero germ-class strata of f, exact and exhaustive: each germ
+    key of ``_class_sums([(f, 1)])`` with a nonzero sum is a stratum,
+    whose value is one exact ``Fraction``."""
+    denom, classes = _class_sums([(f, 1)])
     strata: list[SupportStratum] = []
-    for pattern, rep, interior, keyed in _word_classes(terms):
-        if not region_member(f.region, rep):
-            continue
-        groups: dict = {}
-        for (s, c), key in keyed:
-            groups.setdefault(key, []).append((s, c))
-        for members in groups.values():
-            total = sum(c for _, c in members)
-            if total:
-                ms = tuple(sorted((s for s, _ in members), key=SElt.sort_key))
-                value = Fraction(total, denom)
-                strata.append(
-                    SupportStratum(pattern, rep, ms[0], ms, value, interior)
-                )
+    for pattern, rep, interior, sums in classes:
+        for num, members in sums.values():
+            if num:
+                ms = tuple(sorted(members, key=SElt.sort_key))
+                value = Fraction(num, denom)
+                strata.append(SupportStratum(pattern, rep, ms[0], ms, value, interior))
     return tuple(strata)
 
 
 def st_sup_dist(f: SteinElt, g: SteinElt) -> Fraction:
-    """Exact supremum of |f - g| over all germs.
-
-    One fold over the word classes of f's terms with +c and g's with -c;
-    the germ partition and both regions' membership (which reads only the
-    first letter) are constant on each class.  At each representative the
-    signed coefficients of the defined terms inside their own region are
-    summed per germ key, as the walk yields them; the largest |sum| is the
-    supremum.  The sums add integer numerators over the lcm of all the
-    denominators, and the supremum becomes a ``Fraction`` once, at the end.
-    """
-    signed = [(s, c, 0) for s, c in f.terms] + [(s, -c, 1) for s, c in g.terms]
-    if not signed:
-        return Fraction(0)
-    signed, denom = _on_common_denominator(signed)
-    best = 0
-    for _, rep, _, keyed in _word_classes(signed):
-        inside = (region_member(f.region, rep), region_member(g.region, rep))
-        sums: dict = {}
-        for (_, c, side), key in keyed:
-            if inside[side]:
-                sums[key] = sums.get(key, 0) + c
-        best = max([best, *map(abs, sums.values())])
+    """Exact supremum of |f - g| over all germs: the largest |sum| of
+    ``_class_sums([(f, 1), (g, -1)])``, since the germ partition and both
+    regions' membership (which reads only the first letter) are constant
+    on each class.  The supremum becomes a ``Fraction`` once, at the end."""
+    denom, classes = _class_sums([(f, 1), (g, -1)])
+    best = max(
+        (abs(num) for *_, sums in classes for num, _ in sums.values()), default=0
+    )
     return Fraction(best, denom)
 
 

@@ -190,7 +190,7 @@ def test_criterion_02_germ_intersection_law():
     def first_is_y(w):
         if isinstance(w, FinWord):
             return len(w) > 0 and w[0].family == "y"
-        return w.letter_at(0).family == "y"
+        return w.prefix(1)[0].family == "y"
 
     ok = True
     for i, s1 in enumerate(elems):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 import steinalg
 
 from steinalg import cli, repnorm
+from steinalg.bundle import bundle_a, bundle_bn, bundle_chiB
 from steinalg.cli import main
 from steinalg.repnorm import LimitRow
 from steinalg.steinberg import st_a, st_bn, st_chiB
@@ -89,7 +91,7 @@ def test_report_bytes_are_pinned():
     cover the norm-estimate floats (lower and upper bounds), not only the
     exact fractions and verdicts, so a numpy or BLAS change that moves a
     last digit fails this test; re-derive the digests then, until those
-    floats are made deterministic (ROADMAP item 3).
+    floats are made deterministic (ROADMAP item 5).
     """
     env = {k: v for k, v in os.environ.items() if k != "STEINALG_OUT_DIR"}
     env["OPENBLAS_NUM_THREADS"] = "1"
@@ -178,23 +180,79 @@ def test_verify_builds_each_selfsim_product_once(monkeypatch):
     assert [rights.count(g) for g in (st_chiB(), st_bn(1), st_bn(2))] == [1, 1, 1]
 
 
-def test_verify_value_table_fails_on_a_wrong_limit_distance(monkeypatch):
+def _doctor_profile(monkeypatch, edit):
+    """Make ``verify`` see ``edit`` of the Cauchy profile it computes."""
     real = cli.cauchy_profile
+    monkeypatch.setattr(cli, "cauchy_profile", lambda *args: edit(real(*args)))
 
-    def doctored(*args):
-        prof = real(*args)
-        rows = tuple(
-            LimitRow(r.n, 2 * r.sup_dist) if r.n == 2 else r for r in prof.limit_rows
-        )
-        return dataclasses.replace(prof, limit_rows=rows)
 
-    monkeypatch.setattr(cli, "cauchy_profile", doctored)
+def _double_limit_2(prof):
+    rows = tuple(
+        LimitRow(r.n, 2 * r.sup_dist) if r.n == 2 else r for r in prof.limit_rows
+    )
+    return dataclasses.replace(prof, limit_rows=rows)
+
+
+def test_verify_value_table_fails_on_a_wrong_limit_distance(monkeypatch):
+    _doctor_profile(monkeypatch, _double_limit_2)
     res = run("verify", "--indices", "1,2")
     assert res.exit_code == 1
     checks = {c["id"]: c for c in json.loads(res.stdout)["checks"]}
     assert checks["value-table"]["status"] == "fail"
     assert checks["value-table"]["detail"] == "sup|b2 - chiB| != 1/12"
     assert checks["cauchy-profile"]["status"] == "fail"
+
+
+def test_verify_scattering_rate_fails_on_a_wrong_limit_distance(monkeypatch):
+    _doctor_profile(monkeypatch, _double_limit_2)
+    res = run("verify", "--example", "bundle", "--indices", "1,2")
+    assert res.exit_code == 1
+    checks = {c["id"]: c for c in json.loads(res.stdout)["checks"]}
+    assert checks["scattering-rate"]["status"] == "fail"
+    assert checks["scattering-rate"]["detail"] == "sup|b2 - chiB| != 1/12"
+    assert checks["cauchy-profile"]["status"] == "fail"
+
+
+def test_verify_cauchy_profile_fails_on_a_nonzero_pi_triv(monkeypatch):
+    def edit(prof):
+        first = dataclasses.replace(prof.rows[0], pi_triv=Fraction(1, 4))
+        return dataclasses.replace(prof, rows=(first, *prof.rows[1:]))
+
+    _doctor_profile(monkeypatch, edit)
+    for example in ("selfsim", "bundle"):
+        res = run("verify", "--example", example, "--indices", "1,2")
+        assert res.exit_code == 1
+        check = next(
+            c for c in json.loads(res.stdout)["checks"] if c["id"] == "cauchy-profile"
+        )
+        assert check["status"] == "fail"
+        assert check["detail"] == "pi_triv part of b1-b2 nonzero"
+
+
+def test_verify_builds_each_bundle_product_once(monkeypatch):
+    # a*chiB and each a*b_n are built once and shared by the checks; the
+    # identity suite's own products are not counted (it checks (fg)* = g*f*
+    # at f = b_n, g = a, both self-adjoint, so g*f* is a*b_n)
+    real = cli.bstein_conv
+    real_identities = cli._bundle_identities
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    def identities(rng, checks):
+        real_identities(rng, checks)
+        calls.clear()
+
+    monkeypatch.setattr(cli, "bstein_conv", counting)
+    monkeypatch.setattr(cli, "_bundle_identities", identities)
+    res = run("verify", "--example", "bundle", "--indices", "1,2")
+    assert res.exit_code == 0
+    assert all(f == bundle_a() for f, _ in calls)
+    rights = [g for _, g in calls]
+    wanted = (bundle_chiB(), bundle_bn(1), bundle_bn(2))
+    assert [rights.count(g) for g in wanted] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

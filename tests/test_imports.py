@@ -17,6 +17,12 @@ name or as an attribute: by keyword, by position (``self`` and ``cls``
 not counted), or through ``*`` or ``**`` unpacking.  A default that no
 package caller overrides is a parameter only tests reach.
 
+Every method or property of a package class (dunder methods aside) is
+read as an attribute somewhere in the package or in
+``bench/layertrace.py``, which reads ``SparseOperator.entries``.  The
+check goes by name, so a method whose name another class also uses
+passes; a method that only tests call is dead surface.
+
 Every layer the benchmark traces (``LAYERS`` in ``bench/layertrace.py``)
 is a callable of its module, so a deletion that would leave the benchmark
 tracing an absent name fails here.
@@ -104,6 +110,29 @@ def unused_names(sources: dict[str, str]) -> list[str]:
     )
 
 
+def unused_methods(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
+    """``module.Class.method`` for each non-dunder method or property of
+    a class in ``sources`` whose name neither ``sources`` nor ``readers``
+    read as an attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = {
+        node.attr
+        for tree in [*trees.values(), *map(ast.parse, readers)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    return sorted(
+        f"{mod}.{cls.name}.{fn.name}"
+        for mod, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in read
+    )
+
+
 def _callee(call: ast.Call):
     fn = call.func
     if isinstance(fn, ast.Name):
@@ -179,6 +208,29 @@ def test_every_module_level_name_is_used():
     assert unused_names(sample) == ["a.X", "a.h", "b.k"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unused_names(sources) == []
+
+
+def test_every_method_is_used():
+    sample = {
+        "a": (
+            "class C:\n"
+            "    def __init__(self): pass\n"
+            "    def used(self): pass\n"
+            "    @property\n"
+            "    def prop(self): pass\n"
+            "    @property\n"
+            "    def stale(self): pass\n"
+            "    def dead(self): return self.used()\n"
+            "    def traced(self): pass\n"
+            "def used(): pass\n"
+        ),
+        "b": "C().prop\nused()\ndead = 1\n",
+    }
+    reader = "class T:\n    def unread(self): pass\nc.traced\n"
+    assert unused_methods(sample, (reader,)) == ["a.C.dead", "a.C.stale"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    layertrace = (ROOT / "bench" / "layertrace.py").read_text()
+    assert unused_methods(sources, (layertrace,)) == []
 
 
 def test_every_defaulted_parameter_is_set_by_the_package():

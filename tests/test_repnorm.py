@@ -119,7 +119,7 @@ def germ_label(g: Germ) -> str:
             return "eps"
         first = r[0]
     else:
-        first = r.letter_at(0)
+        first = r.prefix(1)[0]
     return "B" if first.family == "y" else "C"
 
 
@@ -696,6 +696,8 @@ def test_cauchy_profile_bundle_agrees():
         (1, Fraction(1, 4)),
         (2, Fraction(1, 12)),
     ]
+    # b_n - b_m has coefficient sum 1 - 1, so pi_triv kills it
+    assert [r.pi_triv for r in selfsim.rows + bundle.rows] == [0, 0]
 
 
 def test_cauchy_profile_validation_and_edges():

@@ -46,8 +46,8 @@ from steinalg.steinberg import (
     REGION_B,
     REGION_FULL,
     SteinElt,
+    _class_sums,
     _fresh_letter,
-    _word_classes,
     h_elt,
     region_member,
     st_a,
@@ -606,13 +606,22 @@ def test_settled_walk_matches_full_depth_oracle(f, g):
     assert st_is_singular(f).singular == oracle_singular(f)
 
 
+@settings(max_examples=40, deadline=None)
+@given(stein_any)
+def test_sup_dist_and_strata_read_one_fold(f):
+    # against zero the sup distance is the largest |stratum value|
+    values = [abs(s.value) for s in st_support_strata(f)]
+    assert st_sup_dist(f, SteinElt()) == max(values, default=0)
+    assert st_sup_dist(f, f) == 0
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_settled_walk_class_counts(n):
     # b_n - chiB settles at every first letter; a*b_n only at the z-letters
-    signed = [(s, c, 0) for s, c in st_bn(n).terms]
-    signed += [(s, -c, 1) for s, c in st_chiB().terms]
-    abn = st_conv(st_a(), st_bn(n)).terms
-    assert sum(1 for _ in _word_classes(signed)) == 5
-    assert sum(1 for _ in _word_classes(abn)) == 13
+    diff = [(st_bn(n), 1), (st_chiB(), -1)]
+    abn = st_conv(st_a(), st_bn(n))
+    signed = [(s, sign * c) for f, sign in diff for s, c in f.terms]
+    assert sum(1 for _ in _class_sums(diff)[1]) == 5
+    assert sum(1 for _ in _class_sums([(abn, 1)])[1]) == 13
     assert sum(1 for _ in oracle_word_classes(signed)) == 21
-    assert sum(1 for _ in oracle_word_classes(abn)) == 21
+    assert sum(1 for _ in oracle_word_classes(abn.terms)) == 21
