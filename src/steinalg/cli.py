@@ -203,15 +203,17 @@ def _selfsim_identities(rng: random.Random, checks: list) -> None:
 def _selfsim_germ_law(rng: random.Random, checks: list) -> None:
     elems = [s_from_group(h_elt(h)) for h in sphere(1) + sphere(2)]
     words = [EPS] + [_sample_word(rng) for _ in range(20)]
-    # germ_eq compares germ keys, so each (element, word) key is computed once
+    # germ_eq compares germ keys, so each (element, word) key and each
+    # word's membership in Y are computed once
     keys = [[germ_key(s, w) for w in words] for s in elems]
+    in_b = [region_member(REGION_B, w) for w in words]
     bad = ""
     pairs = 0
     for i, (s1, k1) in enumerate(zip(elems, keys)):
         for s2, k2 in zip(elems[i + 1:], keys[i + 1:]):
             pairs += 1
-            for w, key1, key2 in zip(words, k1, k2):
-                if (key1 == key2) != region_member(REGION_B, w):
+            for w, key1, key2, member in zip(words, k1, k2, in_b):
+                if (key1 == key2) != member:
                     bad = bad or f"germ law fails for {s1}, {s2} at {w}"
     _check(
         checks,

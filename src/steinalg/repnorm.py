@@ -17,7 +17,9 @@ boundary column and excluded from the certified iteration.
 A ball operator is built on integer indices, never on words.  For each
 radius one table per letter x gives the ball index of x * w for every
 ball word w, or a sentinel when x * w leaves the ball; the tables are
-made on first use and kept.  The images h * w of all columns are index
+made on first use and kept.  They are computed from the index layout of
+the ball, one block of ball indices per sphere and first letter, and no
+word is built for them.  The images h * w of all columns are index
 gathers through the tables of h's letters, right to left.  Along the
 tree geodesic w, x_k w, ..., h w the word length falls and then rises,
 so the gathers stay in the ball exactly when both ends do.  One pass
@@ -54,7 +56,7 @@ from .bundle import (
     fiber_values,
     stratum_units,
 )
-from .groups import FreeWord, H_GENS, W_ONE, ball, sphere_size
+from .groups import FreeWord, H_GENS, W_ONE, sphere_size
 from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sub, st_sup_dist
 
 
@@ -181,21 +183,33 @@ def _step_tables(radius: int) -> dict[str, np.ndarray]:
     len(ball(radius)) when that word leaves the ball; the sentinel maps
     to itself, so a gather through several tables keeps it.  Built once
     per radius, on first use, and read-only.
+
+    The tables come from the index layout of the ball alone; no word is
+    built.  ``ball`` sorts by length, then by ASCII, so the letters rank
+    C, D, c, d and the inverse of rank r is r ^ 2.  Sphere k + 1 starts
+    at index 2 * 3^k - 1 and holds one block of 3^k words per first
+    letter, in rank order.  The words of sphere k that do not start with
+    the inverse of x, taken in order, are the tails of block x of sphere
+    k + 1, so x maps them onto that block and its inverse maps it back.
+    Every other entry is a product that leaves the ball and keeps the
+    sentinel.
     """
-    words = [w.chars for w in ball(radius)]
-    index = {w: i for i, w in enumerate(words)}
-    out = len(words)
-    steps = {}
-    for x in "cCdD":
-        inv = x.swapcase()
-        table = np.array(
-            [index.get(w[1:] if w[:1] == inv else x + w, out) for w in words]
-            + [out],
-            dtype=np.intp,
-        )
-        table.flags.writeable = False
-        steps[x] = table
-    return steps
+    letters = "CDcd"
+    size = 2 * 3**radius - 1
+    steps = np.full((4, size + 1), size, dtype=np.intp)
+    sphere_k = np.arange(1)  # sphere 0: the empty word
+    for k in range(radius):
+        block = 3**k
+        start = 2 * block - 1
+        prev = block // 3  # sphere k's block size; at k = 0 nothing is dropped
+        for r in range(4):
+            tails = np.delete(sphere_k, slice((r ^ 2) * prev, ((r ^ 2) + 1) * prev))
+            words = np.arange(start + r * block, start + (r + 1) * block)
+            steps[r, tails] = words
+            steps[r ^ 2, words] = tails
+        sphere_k = np.arange(start, start + 4 * block)
+    steps.flags.writeable = False
+    return dict(zip(letters, steps))
 
 
 def h_ball_operator(

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import steinalg
@@ -123,11 +124,20 @@ def test_verify_cauchy_section_contents():
 
 
 def test_verify_bundle_cauchy_uses_bundle_elements(monkeypatch):
-    # the trivial-character check of the bundle example reads bundle_bn
-    def no_selfsim(n):
+    # the trivial-character check of the bundle example reads bundle_bn:
+    # neither cli nor cauchy_profile builds or subtracts a selfsim b_n
+    def no_selfsim(*args):
         raise AssertionError("selfsim b_n used in the bundle example")
 
-    monkeypatch.setattr(cli, "st_bn", no_selfsim)
+    patches = [(cli, "st_bn"), (repnorm, "st_bn"), (repnorm, "st_sub")]
+    # positive control: each patch point is live on the selfsim path
+    for module, name in patches:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, no_selfsim)
+            with pytest.raises(AssertionError, match="selfsim b_n used"):
+                run("verify", "--example", "selfsim", "--indices", "1,2")
+    for module, name in patches:
+        monkeypatch.setattr(module, name, no_selfsim)
     res = run("verify", "--example", "bundle", "--indices", "1,2,3")
     assert res.exit_code == 0
     checks = json.loads(res.stdout)["checks"]

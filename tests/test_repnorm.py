@@ -421,6 +421,35 @@ def test_ball_operator_single_generator():
     assert op.boundary_cols == frozenset({idx["D"], idx["c"], idx["d"]})
 
 
+def oracle_step_tables(radius: int) -> dict[str, np.ndarray]:
+    """The letter tables built from words: x * w is w's tail when w starts
+    with x's inverse and x + w otherwise, looked up in the ball's index."""
+    words = [w.chars for w in ball(radius)]
+    index = {w: i for i, w in enumerate(words)}
+    out = len(words)
+    return {
+        x: np.array(
+            [index.get(w[1:] if w[:1] == x.swapcase() else x + w, out) for w in words]
+            + [out],
+            dtype=np.intp,
+        )
+        for x in "cCdD"
+    }
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_step_tables_match_word_oracle(radius):
+    steps = repnorm._step_tables(radius)
+    want = oracle_step_tables(radius)
+    size = len(ball(radius))
+    assert set(steps) == set(want)
+    for x, table in steps.items():
+        assert table.dtype == np.intp
+        assert np.array_equal(table, want[x])
+        assert table[size] == size
+        assert not table.flags.writeable
+
+
 def oracle_ball_operator(coeffs, radius) -> SparseOperator:
     """The column loop of free-word products: coefficient words longest
     first, and a column stops at its first product that leaves the ball."""
