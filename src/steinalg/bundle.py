@@ -257,16 +257,6 @@ class BSteinElt:
     terms: tuple[BTerm, ...] = ()
     flag: str = FLAG_FULL
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for bit, h, c, region in self.terms:
-            r = "" if region == WHOLE_SET else f"|{region}"
-            bits.append(f"{c}*U({bit},{h}){r}")
-        s = " + ".join(bits)
-        return s if self.flag == FLAG_FULL else f"r_{self.flag}[{s}]"
-
 
 def bstein(terms: Iterable[BTerm], flag: str = FLAG_FULL) -> BSteinElt:
     """Merge same-(bit, h, region) terms, drop zeros and empty regions."""

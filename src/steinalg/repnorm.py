@@ -10,6 +10,11 @@ Everything here returns quantities with a stated side:
 * an *upper* bound comes from a summable coefficient inequality, the
   length-layered l2 estimate sum_l (l+1) ||f_l||_2 for the free group.
 
+Both models' norms are fiberwise: exact character values on finite
+isotropy, and left-regular walks of the free factor elsewhere.
+``_fiber_bound`` is the one place where those pieces become a two-sided
+bound; ``stein_H_norm_bound`` and ``bundle_norm_bound`` only collect them.
+
 Truncations are to balls in the rank-two free group on c, d.  A column of
 a truncated matrix whose image would leave the ball is flagged as a
 boundary column and excluded from the certified iteration.
@@ -38,7 +43,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 # OpenBLAS's worker threads spin for about 0.1 s of CPU after numpy
 # starts, and one thread is faster on the small SVDs done here; a value
@@ -112,10 +117,6 @@ class NormEstimate:
     truncation_radius: Optional[int] = None
     # columns with an exact image; a lower bound of 0 with none certifies nothing
     interior_cols: Optional[int] = None
-
-    def __str__(self) -> str:
-        up = "?" if self.upper is None else f"{self.upper:.9f}"
-        return f"[{self.lower:.9f}, {up}]"
 
 
 # power-iteration steps before an estimate stops short of its tolerance
@@ -362,24 +363,6 @@ def rho_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _h_coeffs(f: SteinElt) -> dict[FreeWord, Fraction]:
-    if f.region != REGION_FULL:
-        raise ValueError("norm bound needs an unrestricted element")
-    coeffs: dict[FreeWord, Fraction] = {}
-    for s, c in f.terms:
-        g = s.g
-        if (
-            len(s.alpha) != 0
-            or len(s.beta) != 0
-            or not g.f.is_identity()
-            or g.n != 0
-            or g.m != 0
-        ):
-            raise ValueError("terms must be fiber group elements over c, d")
-        coeffs[g.h] = coeffs.get(g.h, Fraction(0)) + c
-    return {h: c for h, c in coeffs.items() if c != 0}
-
-
 def _layered_upper(coeffs: Mapping[FreeWord, Fraction]) -> float:
     """sum_l (l+1) ||f_l||_2, each layer's square norm summed exactly per
     distinct coefficient times its multiplicity.  Coefficients are counted
@@ -395,6 +378,29 @@ def _layered_upper(coeffs: Mapping[FreeWord, Fraction]) -> float:
     return sum((l + 1) * math.sqrt(q) for l, q in layers.items())
 
 
+def _fiber_bound(
+    exact: Iterable[Fraction], walks: Iterable[Mapping], radius: int, tol: float
+) -> NormEstimate:
+    """Two-sided bound for a sup of fiber norms: ``exact`` holds norms
+    known exactly (characters of finite isotropy), and each nonzero walk
+    of free group terms acts by the left regular representation, bounded
+    below on its ball truncation and above by the layered l2 estimate.
+    Equal walks share one estimate; ``iterations`` sums over the distinct
+    walks and ``interior_cols`` is their max (None without a walk)."""
+    base = max((float(abs(v)) for v in exact), default=0.0)
+    distinct: dict[frozenset, Mapping] = {}
+    for walk in walks:
+        distinct.setdefault(frozenset(walk.items()), walk)
+    ests = [opnorm_lower(h_ball_operator(w, radius), tol) for w in distinct.values()]
+    return NormEstimate(
+        max([base] + [e.lower for e in ests]),
+        max([base] + [_layered_upper(w) for w in distinct.values()]),
+        sum(e.iterations for e in ests),
+        radius,
+        max((e.interior_cols for e in ests), default=None),
+    )
+
+
 def stein_H_norm_bound(
     f: SteinElt, radius: int = 6, tol: float = 1e-9
 ) -> NormEstimate:
@@ -404,22 +410,19 @@ def stein_H_norm_bound(
     On a cylinder rooted in a y-family all such terms share one germ, so
     those base words contribute exactly |sum of coefficients|.  Rooted in
     a z-family or at the empty word the germs are the left translations
-    of the free factor, i.e. the regular representation: bounded above by
-    the layered l2 estimate and below by iteration on an exact ball
-    truncation.  The norm is the max of the two parts.
+    of the free factor: one walk in the regular representation.
     """
-    coeffs = _h_coeffs(f)
-    collapse = float(abs(sum(coeffs.values(), Fraction(0))))
-    if not coeffs:
-        return NormEstimate(0.0, 0.0, 0, radius)
-    est = opnorm_lower(h_ball_operator(coeffs, radius), tol)
-    return NormEstimate(
-        max(collapse, est.lower),
-        max(collapse, _layered_upper(coeffs)),
-        est.iterations,
-        radius,
-        est.interior_cols,
-    )
+    if f.region != REGION_FULL:
+        raise ValueError("norm bound needs an unrestricted element")
+    coeffs: dict[FreeWord, Fraction] = {}
+    for s, c in f.terms:
+        g = s.g
+        if len(s.alpha) or len(s.beta) or not g.f.is_identity() or g.n or g.m:
+            raise ValueError("terms must be fiber group elements over c, d")
+        coeffs[g.h] = coeffs.get(g.h, Fraction(0)) + c
+    walk = {h: c for h, c in coeffs.items() if c != 0}
+    total = sum(walk.values(), Fraction(0))
+    return _fiber_bound([total], [walk] if walk else [], radius, tol)
 
 
 def bundle_norm_bound(
@@ -428,49 +431,27 @@ def bundle_norm_bound(
     """Two-sided reduced-norm bound for a bundle element: the sup of the
     fiber operator norms over one unit per fiber stratum.
 
-    x-fibers are trivial and y-fibers abelian of order two, so both are
-    exact character maxima.  z- and eps-fibers carry the order-two group
-    times the free factor; splitting along the two characters of the
-    order-two part leaves free group walks, bounded as in
-    ``stein_H_norm_bound``.  Equal walks (both characters when no term has
-    bit 1; the eps unit and the fresh z unit) share one estimate;
-    ``interior_cols`` is the largest count over the walks.
+    x-fibers are trivial and y-fibers abelian of order two, so both give
+    exact character values v0 + v1 and v0 - v1 (an x-fiber holds only
+    bit 0).  z- and eps-fibers carry the order-two group times the free
+    factor; splitting along the two characters of the order-two part
+    leaves one free group walk per character.
     """
-    lower = 0.0
-    upper = 0.0
-    estimates: dict[frozenset, NormEstimate] = {}
+    exact: list[Fraction] = []
+    walks: list[dict[FreeWord, Fraction]] = []
     for u in stratum_units((f,)):
         coeffs = fiber_values(f, u)
-        if not coeffs:
-            continue
-        if u.kind == "x":
-            val = float(abs(coeffs.get((0, W_ONE), Fraction(0))))
-            lower = max(lower, val)
-            upper = max(upper, val)
-            continue
-        if u.kind == "y":
+        if u.kind in ("x", "y"):
             v0 = coeffs.get((0, W_ONE), Fraction(0))
             v1 = coeffs.get((1, W_ONE), Fraction(0))
-            val = float(max(abs(v0 + v1), abs(v0 - v1)))
-            lower = max(lower, val)
-            upper = max(upper, val)
+            exact += (v0 + v1, v0 - v1)
             continue
         for sign in (1, -1):
             walk: dict[FreeWord, Fraction] = {}
             for (bit, h), c in coeffs.items():
-                c = c if (sign == 1 or bit == 0) else -c
-                walk[h] = walk.get(h, Fraction(0)) + c
-            walk = {h: c for h, c in walk.items() if c != 0}
-            if not walk:
-                continue
-            key = frozenset(walk.items())
-            if key not in estimates:
-                estimates[key] = opnorm_lower(h_ball_operator(walk, radius), tol)
-            lower = max(lower, estimates[key].lower)
-            upper = max(upper, _layered_upper(walk))
-    ests = estimates.values()
-    interior = max((e.interior_cols for e in ests), default=None)
-    return NormEstimate(lower, upper, sum(e.iterations for e in ests), radius, interior)
+                walk[h] = walk.get(h, Fraction(0)) + (-c if bit and sign < 0 else c)
+            walks.append({h: c for h, c in walk.items() if c != 0})
+    return _fiber_bound(exact, [w for w in walks if w], radius, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -359,9 +359,6 @@ class Germ:
         if not s_defined_at(self.s, self.word):
             raise ValueError(f"germ undefined: {self.s} at {self.word}")
 
-    def __str__(self) -> str:
-        return f"[{self.s}, {self.word}]"
-
 
 def germ_key(s: SElt, w: Word):
     """Canonical invariant: two elements have equal keys at w iff their

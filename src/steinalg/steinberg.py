@@ -77,12 +77,6 @@ class SteinElt:
     terms: tuple[tuple[SElt, Fraction], ...] = ()
     region: str = REGION_FULL
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        body = " + ".join(f"{c}*[{s}]" for s, c in self.terms)
-        return body if self.region == REGION_FULL else f"({body})|{self.region}"
-
 
 def st_make(
     terms: Iterable[tuple[SElt, Union[Fraction, int]]],
@@ -208,14 +202,6 @@ class SupportStratum:
     members: tuple[SElt, ...]
     value: Fraction
     interior: bool
-
-    def __str__(self) -> str:
-        pat = ".".join(
-            str(e[1]) if e[0] == "lit" else f"{e[1]}{e[2]}[*]" for e in self.pattern
-        )
-        tail = "..." if self.interior else ""
-        kind = "open" if self.interior else "exact"
-        return f"<{self.value} at [{self.base}, {pat or 'eps'}{tail}] ({kind})>"
 
 
 def _fresh_letter(fam: str, ch: int, pos: int, ys: set[int], zs: set[KElt]) -> Letter:

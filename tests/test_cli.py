@@ -15,8 +15,9 @@ from click.testing import CliRunner
 import steinalg
 
 from steinalg import cli, repnorm
-from steinalg.bundle import bundle_a, bundle_bn, bundle_chiB
+from steinalg.bundle import bstein, bundle_a, bundle_bn, bundle_chiB
 from steinalg.cli import main
+from steinalg.groups import free_word
 from steinalg.repnorm import LimitRow
 from steinalg.steinberg import st_a, st_bn, st_chiB
 
@@ -241,8 +242,8 @@ def test_verify_cauchy_profile_fails_on_a_nonzero_pi_triv(monkeypatch):
 
 def test_verify_builds_each_bundle_product_once(monkeypatch):
     # a*chiB and each a*b_n are built once and shared by the checks; the
-    # identity suite's own products are not counted (it checks (fg)* = g*f*
-    # at f = b_n, g = a, both self-adjoint, so g*f* is a*b_n)
+    # identity suite's own products (a*a, chi_U * chi_V and a fixed pair
+    # for the involution) are not counted
     real = cli.bstein_conv
     real_identities = cli._bundle_identities
     calls = []
@@ -263,6 +264,25 @@ def test_verify_builds_each_bundle_product_once(monkeypatch):
     rights = [g for _, g in calls]
     wanted = (bundle_chiB(), bundle_bn(1), bundle_bn(2))
     assert [rights.count(g) for g in wanted] == [1, 1, 1]
+
+
+def _letters_inverted(f):
+    # inverts every letter but keeps their order: cd -> CD, not DC
+    terms = [(b, free_word(h.chars.swapcase()), c, U) for b, h, c, U in f.terms]
+    return bstein(terms, f.flag)
+
+
+@pytest.mark.parametrize(
+    "star", [lambda f: f, _letters_inverted], ids=["identity", "letters-inverted"]
+)
+def test_verify_bundle_identities_catch_a_broken_star(monkeypatch, star):
+    monkeypatch.setattr(cli, "bstein_star", star)
+    res = run("verify", "--example", "bundle", "--indices", "")
+    assert res.exit_code == 1
+    report = json.loads(res.stdout)
+    check = next(c for c in report["checks"] if c["id"] == "convolution-identities")
+    assert check["status"] == "fail"
+    assert check["detail"] == "(fg)* != g*f* at U_(0,c), 2U_(1,cd)"
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from hypothesis import example, given, settings, strategies as st
 from steinalg import repnorm
 
 from steinalg.bundle import (
+    WHOLE_SET,
+    bstein,
     bstein_sub,
     bundle_a,
     bundle_bn,
@@ -637,13 +639,22 @@ def test_layered_upper_matches_per_word_sum(coeffs):
     assert repnorm._layered_upper(coeffs) == oracle_layered_upper(coeffs)
 
 
-def test_bundle_norm_bound_matches_fiber_walk():
-    diff_b = bstein_sub(bundle_bn(1), bundle_bn(2))
-    diff_s = st_sub(st_bn(1), st_bn(2))
-    via_bundle = bundle_norm_bound(diff_b, radius=5, tol=1e-9)
-    via_fiber = stein_H_norm_bound(diff_s, radius=5, tol=1e-9)
-    assert via_bundle.lower == pytest.approx(via_fiber.lower, abs=1e-9)
-    assert via_bundle.upper == pytest.approx(via_fiber.upper, abs=1e-12)
+@settings(deadline=None)
+@given(st.dictionaries(walk_words, walk_coeffs, max_size=6), st.integers(1, 4))
+@example(  # b_1 - b_2
+    {
+        **{h: Fraction(1, 4) for h in sphere(1)},
+        **{h: Fraction(-1, 12) for h in sphere(2)},
+    },
+    5,
+)
+def test_bundle_norm_bound_matches_fiber_walk(coeffs, radius):
+    # the same free group terms on the whole unit space of each model give
+    # the same estimate, every field included
+    twin_b = bstein([(0, h, c, WHOLE_SET) for h, c in coeffs.items()])
+    twin_s = st_make([(s_from_group(h_elt(h)), c) for h, c in coeffs.items()])
+    via_bundle = bundle_norm_bound(twin_b, radius, 1e-9)
+    assert via_bundle == stein_H_norm_bound(twin_s, radius, 1e-9)
 
 
 def test_norm_bound_reports_interior_columns():
@@ -681,6 +692,10 @@ def test_bundle_norm_bound_named_elements():
     assert est.upper == pytest.approx(1.0)
     est = bundle_norm_bound(bundle_chiB(), radius=2)
     assert (est.lower, est.upper) == (1.0, 1.0)
+    # a*chiB lives on X u Y: 0 on x-fibers, where both bits meet, and the
+    # sign character's 1 - (-1) = 2 on y-fibers; no walk is left
+    est = bundle_norm_bound(bstein_conv(bundle_a(), bundle_chiB()), radius=2)
+    assert est == NormEstimate(2.0, 2.0, 0, 2, None)
     mixed = bstein_conv(bundle_a(), bundle_bn(1))
     est = bundle_norm_bound(mixed, radius=4)
     assert 0 < est.lower <= est.upper + 1e-12
@@ -712,21 +727,20 @@ def test_cauchy_profile_selfsim_frozen():
 
 
 def test_cauchy_profile_bundle_agrees():
-    selfsim = cauchy_profile((1, 2), example="selfsim", radius=4)
-    bundle = cauchy_profile((1, 2), example="bundle", radius=4)
-    assert [r.sup_dist for r in bundle.rows] == [
-        r.sup_dist for r in selfsim.rows
-    ]
-    assert bundle.rows[0].upper == pytest.approx(selfsim.rows[0].upper)
-    assert bundle.rows[0].lower == pytest.approx(
-        selfsim.rows[0].lower, abs=1e-9
-    )
+    # both models assemble one fiber bound, so the rows agree to the bit
+    for radius in (4, 5, 6):
+        selfsim = cauchy_profile((1, 2, 3, 4), example="selfsim", radius=radius)
+        bundle = cauchy_profile((1, 2, 3, 4), example="bundle", radius=radius)
+        assert bundle.rows == selfsim.rows
+        assert bundle.limit_rows == selfsim.limit_rows
     assert [(r.n, r.sup_dist) for r in bundle.limit_rows] == [
         (1, Fraction(1, 4)),
         (2, Fraction(1, 12)),
+        (3, Fraction(1, 36)),
+        (4, Fraction(1, 108)),
     ]
     # b_n - b_m has coefficient sum 1 - 1, so pi_triv kills it
-    assert [r.pi_triv for r in selfsim.rows + bundle.rows] == [0, 0]
+    assert all(r.pi_triv == 0 for r in bundle.rows)
 
 
 def test_cauchy_profile_validation_and_edges():
