@@ -12,18 +12,22 @@ U_g restricted to compact open unit sets, together with a symbolic
 restriction flag to the closed-open half B = X u Y; this keeps the
 indicator of the noncompact half B exact.
 
-Over one unit a function is a finite table of values on the fiber group,
-``fiber_values``.  Evaluation, sup distances and singularity verdicts all
-read that table, at one unit per stratum of ``stratum_units`` (the strata
-are where every involved function has a constant table), and so does the
-norm bound in ``repnorm``.  Everything here is exact: coefficients are
-fractions.
+Over one unit a function is a finite table of values on the fiber group.
+One fold, ``_fiber_sums``, builds these tables for signed sums of
+functions at given units: it puts every coefficient over the lcm of the
+denominators once and sums integer numerators per fiber arrow.
+``fiber_values`` (and through it evaluation), ``bundle_sup_dist``,
+``bundle_is_singular`` and the norm bound ``repnorm.bundle_norm_bound``
+all read that fold, at one unit per stratum of ``stratum_units`` (the
+strata are where every involved function has a constant table).
+Everything here is exact: coefficients are fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .groups import FreeWord, H_GENS, W_ONE, sphere
@@ -259,7 +263,10 @@ class BSteinElt:
 
 
 def bstein(terms: Iterable[BTerm], flag: str = FLAG_FULL) -> BSteinElt:
-    """Merge same-(bit, h, region) terms, drop zeros and empty regions."""
+    """Merge same-(bit, h, region) terms, drop zeros and empty regions.
+
+    Coefficients (ints or fractions) are added as given; each one that
+    survives becomes a Fraction only on output."""
     if flag not in _FLAG_KINDS:
         raise ValueError(f"unknown flag {flag!r}")
     acc: dict = {}
@@ -267,9 +274,10 @@ def bstein(terms: Iterable[BTerm], flag: str = FLAG_FULL) -> BSteinElt:
         if region.is_empty():
             continue
         key = (bit, h, region)
-        acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
+        prev = acc.get(key)
+        acc[key] = coeff if prev is None else prev + coeff
     out = [
-        (bit, h, c, region)
+        (bit, h, c if type(c) is Fraction else Fraction(c), region)
         for (bit, h, region), c in acc.items()
         if c != 0
     ]
@@ -281,13 +289,48 @@ def bstein(terms: Iterable[BTerm], flag: str = FLAG_FULL) -> BSteinElt:
 B_ZERO = BSteinElt()
 
 
-def _fiber_at(bit: int, h: FreeWord, unit: BUnit):
-    """The single arrow of U_(bit, h) over ``unit``."""
-    if unit.kind == "x":
-        return (0, W_ONE)
-    if unit.kind == "y":
-        return (bit, W_ONE)
-    return (bit, h)
+# which of a term's three arrows (over x, y, z/eps) a unit kind reads
+_KEY_SLOT = {"x": 0, "y": 1, "z": 2, "eps": 2}
+
+
+def _fiber_sums(parts: list, units: list) -> tuple:
+    """The fiber tables of signed elements, as integer sums per arrow.
+
+    ``parts`` pairs each element with a sign.  Returns ``(D, tables)``:
+    D is the lcm of the coefficients' denominators, and ``tables`` lazily
+    yields, for each unit in turn, the map (bit, h) -> nonzero sum of the
+    signed coefficients times D of the terms present over that unit, in
+    the order the terms first reach each arrow.  A term of U_(bit, h) is
+    present over u when its element's flag admits u's kind and its region
+    holds u; it adds at the single arrow of U_(bit, h) over u, which is
+    (0, W_ONE) over x, (bit, W_ONE) over y and (bit, h) over z and eps.
+    """
+    denom = lcm(*(t[2].denominator for f, _ in parts for t in f.terms))
+    # arrows are numbered once, so the per-unit sums hash small integers
+    arrows = {(0, W_ONE): 0, (1, W_ONE): 1}
+    terms = [
+        (
+            sign * c.numerator * (denom // c.denominator),
+            _FLAG_KINDS[f.flag],
+            region,
+            (0, bit, arrows.setdefault((bit, h), len(arrows))),
+        )
+        for f, sign in parts
+        for bit, h, c, region in f.terms
+    ]
+    keys = list(arrows)
+
+    def tables():
+        for u in units:
+            slot = _KEY_SLOT[u.kind]
+            acc: dict[int, int] = {}
+            for num, kinds, region, at in terms:
+                if u.kind in kinds and buset_member(region, u):
+                    i = at[slot]
+                    acc[i] = acc.get(i, 0) + num
+            yield {keys[i]: v for i, v in acc.items() if v}
+
+    return denom, tables()
 
 
 def fiber_values(f: BSteinElt, u: BUnit) -> dict[tuple[int, FreeWord], Fraction]:
@@ -295,14 +338,8 @@ def fiber_values(f: BSteinElt, u: BUnit) -> dict[tuple[int, FreeWord], Fraction]
 
     Each term adds its coefficient at the single arrow of its bisection
     over u, so this finite table is all of f over u."""
-    if u.kind not in _FLAG_KINDS[f.flag]:
-        return {}
-    acc: dict[tuple[int, FreeWord], Fraction] = {}
-    for bit, h, c, region in f.terms:
-        if buset_member(region, u):
-            key = _fiber_at(bit, h, u)
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return {k: v for k, v in acc.items() if v != 0}
+    denom, tables = _fiber_sums([(f, 1)], [u])
+    return {k: Fraction(v, denom) for k, v in next(tables).items()}
 
 
 def bstein_eval(f: BSteinElt, arrow: BArrow) -> Fraction:
@@ -414,12 +451,8 @@ def bundle_sup_dist(f: BSteinElt, g: BSteinElt) -> Fraction:
     """Exact supremum of |f - g| over all arrows: both are constant on
     strata, so one unit per stratum and the keys of both fiber tables
     there see every value of f - g."""
-    best = Fraction(0)
-    for u in stratum_units((f, g)):
-        vf, vg = fiber_values(f, u), fiber_values(g, u)
-        for key in vf.keys() | vg.keys():
-            best = max(best, abs(vf.get(key, 0) - vg.get(key, 0)))
-    return best
+    denom, tables = _fiber_sums([(f, 1), (g, -1)], stratum_units((f, g)))
+    return Fraction(max((abs(v) for t in tables for v in t.values()), default=0), denom)
 
 
 @dataclass(frozen=True)
@@ -437,10 +470,9 @@ def bundle_is_singular(f: BSteinElt) -> BundleVerdict:
     lies over the first such unit, in ``stratum_units`` order, with a
     nonempty table, at its least (bit, h) there.
     """
-    for u in stratum_units((f,)):
-        if u.kind not in ("x", "z"):
-            continue
-        vals = fiber_values(f, u)
+    units = [u for u in stratum_units((f,)) if u.kind in ("x", "z")]
+    _, tables = _fiber_sums([(f, 1)], units)
+    for u, vals in zip(units, tables):
         if vals:
             bit, h = min(vals, key=lambda k: (k[0], k[1].sort_key()))
             return BundleVerdict(False, barrow(bit, h, u))

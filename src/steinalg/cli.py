@@ -416,6 +416,9 @@ def _bundle_identities(rng: random.Random, checks: list) -> None:
     g = bstein([(1, free_word("cd"), 2, WHOLE_SET)])
     if bstein_star(bstein_conv(f, g)) != bstein_conv(bstein_star(g), bstein_star(f)):
         bad = bad or "(fg)* != g*f* at U_(0,c), 2U_(1,cd)"
+    # word reversal is an antihomomorphism too; only a value pins the star
+    if bstein_star(f) != bstein([(0, free_word("C"), 1, WHOLE_SET)]):
+        bad = bad or "U_(0,c)* != U_(0,C)"
     _check(
         checks,
         "convolution-identities",

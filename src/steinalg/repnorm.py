@@ -54,11 +54,11 @@ import numpy as np
 
 from .bundle import (
     BSteinElt,
+    _fiber_sums,
     bstein_sub,
     bundle_bn,
     bundle_chiB,
     bundle_sup_dist,
-    fiber_values,
     stratum_units,
 )
 from .groups import FreeWord, H_GENS, W_ONE, sphere_size
@@ -379,22 +379,20 @@ def _layered_upper(coeffs: Mapping[FreeWord, Fraction]) -> float:
 
 
 def _fiber_bound(
-    exact: Iterable[Fraction], walks: Iterable[Mapping], radius: int, tol: float
+    exact: Iterable[Fraction], walks: Sequence[Mapping], radius: int, tol: float
 ) -> NormEstimate:
     """Two-sided bound for a sup of fiber norms: ``exact`` holds norms
-    known exactly (characters of finite isotropy), and each nonzero walk
-    of free group terms acts by the left regular representation, bounded
-    below on its ball truncation and above by the layered l2 estimate.
-    Equal walks share one estimate; ``iterations`` sums over the distinct
-    walks and ``interior_cols`` is their max (None without a walk)."""
+    known exactly (characters of finite isotropy), and each walk, a
+    nonzero combination of free group terms, acts by the left regular
+    representation, bounded below on its ball truncation and above by
+    the layered l2 estimate.  The walks are pairwise distinct; each gets
+    one estimate, ``iterations`` sums over them and ``interior_cols`` is
+    their max (None without a walk)."""
     base = max((float(abs(v)) for v in exact), default=0.0)
-    distinct: dict[frozenset, Mapping] = {}
-    for walk in walks:
-        distinct.setdefault(frozenset(walk.items()), walk)
-    ests = [opnorm_lower(h_ball_operator(w, radius), tol) for w in distinct.values()]
+    ests = [opnorm_lower(h_ball_operator(w, radius), tol) for w in walks]
     return NormEstimate(
         max([base] + [e.lower for e in ests]),
-        max([base] + [_layered_upper(w) for w in distinct.values()]),
+        max([base] + [_layered_upper(w) for w in walks]),
         sum(e.iterations for e in ests),
         radius,
         max((e.interior_cols for e in ests), default=None),
@@ -435,23 +433,28 @@ def bundle_norm_bound(
     exact character values v0 + v1 and v0 - v1 (an x-fiber holds only
     bit 0).  z- and eps-fibers carry the order-two group times the free
     factor; splitting along the two characters of the order-two part
-    leaves one free group walk per character.
+    leaves one free group walk per character.  Both are summed on the
+    fold's integer numerators, and equal walks (such as the eps unit's
+    and a fresh z-unit's) are estimated once.
     """
+    units = stratum_units((f,))
+    denom, tables = _fiber_sums([(f, 1)], units)
     exact: list[Fraction] = []
-    walks: list[dict[FreeWord, Fraction]] = []
-    for u in stratum_units((f,)):
-        coeffs = fiber_values(f, u)
+    walks: dict[frozenset, dict[FreeWord, int]] = {}
+    for u, sums in zip(units, tables):
         if u.kind in ("x", "y"):
-            v0 = coeffs.get((0, W_ONE), Fraction(0))
-            v1 = coeffs.get((1, W_ONE), Fraction(0))
-            exact += (v0 + v1, v0 - v1)
+            v0, v1 = sums.get((0, W_ONE), 0), sums.get((1, W_ONE), 0)
+            exact += (Fraction(v0 + v1, denom), Fraction(v0 - v1, denom))
             continue
         for sign in (1, -1):
-            walk: dict[FreeWord, Fraction] = {}
-            for (bit, h), c in coeffs.items():
-                walk[h] = walk.get(h, Fraction(0)) + (-c if bit and sign < 0 else c)
-            walks.append({h: c for h, c in walk.items() if c != 0})
-    return _fiber_bound(exact, [w for w in walks if w], radius, tol)
+            walk: dict[FreeWord, int] = {}
+            for (bit, h), c in sums.items():
+                walk[h] = walk.get(h, 0) + (-c if bit and sign < 0 else c)
+            walk = {h: c for h, c in walk.items() if c}
+            if walk:
+                walks.setdefault(frozenset(walk.items()), walk)
+    as_fractions = [{h: Fraction(c, denom) for h, c in w.items()} for w in walks.values()]
+    return _fiber_bound(exact, as_fractions, radius, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from steinalg.bundle import (
     FLAG_B,
     FLAG_FULL,
     WHOLE_SET,
+    _fiber_sums,
     barrow,
     bstein,
     bstein_conv,
@@ -409,6 +410,44 @@ def test_fiber_fold_equals_term_by_term_oracle(f, g, arrow):
     assert bundle_sup_dist(f, g) == oracle_sup_dist(f, g)
     verdict = bundle_is_singular(f)
     assert (verdict.singular, verdict.witness) == oracle_singular(f)
+
+
+@given(b_elts, b_elts)
+def test_fiber_sums_equal_oracle_differences(f, g):
+    # the integer fold over D, read at every stratum unit, is f - g arrow
+    # by arrow: no key is missing, extra, zero or off by a denominator
+    units = stratum_units((f, g))
+    denom, tables = _fiber_sums([(f, 1), (g, -1)], units)
+    arrows = oracle_stratum_arrows((f, g))
+    for u, table in zip(units, tables):
+        diffs = {
+            (a.bit, a.h): oracle_eval(f, a) - oracle_eval(g, a)
+            for a in arrows
+            if a.unit == u
+        }
+        got = {k: Fraction(v, denom) for k, v in table.items()}
+        assert got == {k: v for k, v in diffs.items() if v}
+
+
+def test_bstein_merges_mixed_coefficients():
+    c, d = free_word("c"), free_word("d")
+    f = bstein(
+        [
+            (0, c, 1, WHOLE_SET),
+            (0, d, 2, WHOLE_SET),  # an int seen once
+            (1, c, Fraction(1, 2), WHOLE_SET),
+            (0, c, Fraction(1, 3), WHOLE_SET),  # int plus Fraction
+            (1, c, -1, WHOLE_SET),
+            (1, d, 3, WHOLE_SET),
+            (1, c, Fraction(1, 2), WHOLE_SET),  # cancels (1, c)
+            (1, d, -3, WHOLE_SET),  # cancels (1, d) in ints
+        ]
+    )
+    assert f.terms == (
+        (0, c, Fraction(4, 3), WHOLE_SET),
+        (0, d, Fraction(2), WHOLE_SET),
+    )
+    assert all(type(coeff) is Fraction for _, _, coeff, _ in f.terms)
 
 
 def test_chi_of_compact_open():

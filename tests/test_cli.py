@@ -272,17 +272,30 @@ def _letters_inverted(f):
     return bstein(terms, f.flag)
 
 
+def _reversed(f):
+    # reverses every word but keeps its letters: cd -> dc, not DC; this is
+    # an antihomomorphism, so only a single star value tells it apart
+    terms = [(b, free_word(h.chars[::-1]), c, U) for b, h, c, U in f.terms]
+    return bstein(terms, f.flag)
+
+
 @pytest.mark.parametrize(
-    "star", [lambda f: f, _letters_inverted], ids=["identity", "letters-inverted"]
+    "star, detail",
+    [
+        (lambda f: f, "(fg)* != g*f* at U_(0,c), 2U_(1,cd)"),
+        (_letters_inverted, "(fg)* != g*f* at U_(0,c), 2U_(1,cd)"),
+        (_reversed, "U_(0,c)* != U_(0,C)"),
+    ],
+    ids=["identity", "letters-inverted", "reversed"],
 )
-def test_verify_bundle_identities_catch_a_broken_star(monkeypatch, star):
+def test_verify_bundle_identities_catch_a_broken_star(monkeypatch, star, detail):
     monkeypatch.setattr(cli, "bstein_star", star)
     res = run("verify", "--example", "bundle", "--indices", "")
     assert res.exit_code == 1
     report = json.loads(res.stdout)
     check = next(c for c in report["checks"] if c["id"] == "convolution-identities")
     assert check["status"] == "fail"
-    assert check["detail"] == "(fg)* != g*f* at U_(0,c), 2U_(1,cd)"
+    assert check["detail"] == detail
 
 
 # ---------------------------------------------------------------------------
