@@ -16,10 +16,11 @@ Over one unit a function is a finite table of values on the fiber group.
 One fold, ``_fiber_sums``, builds these tables for signed sums of
 functions at given units: it puts every coefficient over the lcm of the
 denominators once and sums integer numerators per fiber arrow.
-``fiber_values`` (and through it evaluation), ``bundle_sup_dist``,
-``bundle_is_singular`` and the norm bound ``repnorm.bundle_norm_bound``
-all read that fold, at one unit per stratum of ``stratum_units`` (the
-strata are where every involved function has a constant table).
+``bundle_sup_dist``, ``bundle_is_singular`` and the norm bound
+``repnorm.bundle_norm_bound`` read that fold at one unit per stratum of
+``stratum_units`` (the strata are where every involved function has a
+constant table); evaluation, ``bstein_eval``, reads it at the unit of
+one arrow.
 Everything here is exact: coefficients are fractions.
 """
 
@@ -333,17 +334,10 @@ def _fiber_sums(parts: list, units: list) -> tuple:
     return denom, tables()
 
 
-def fiber_values(f: BSteinElt, u: BUnit) -> dict[tuple[int, FreeWord], Fraction]:
-    """The nonzero values of f on the fiber over ``u``, keyed by (bit, h).
-
-    Each term adds its coefficient at the single arrow of its bisection
-    over u, so this finite table is all of f over u."""
-    denom, tables = _fiber_sums([(f, 1)], [u])
-    return {k: Fraction(v, denom) for k, v in next(tables).items()}
-
-
 def bstein_eval(f: BSteinElt, arrow: BArrow) -> Fraction:
-    return fiber_values(f, arrow.unit).get((arrow.bit, arrow.h), Fraction(0))
+    """f at one arrow, read off the fold's table over the arrow's unit."""
+    denom, tables = _fiber_sums([(f, 1)], [arrow.unit])
+    return Fraction(next(tables).get((arrow.bit, arrow.h), 0), denom)
 
 
 def bstein_conv(f: BSteinElt, g: BSteinElt) -> BSteinElt:
@@ -363,20 +357,17 @@ def bstein_star(f: BSteinElt) -> BSteinElt:
     )
 
 
-def bstein_add(f: BSteinElt, g: BSteinElt) -> BSteinElt:
-    if f.flag != g.flag and f.terms and g.terms:
-        raise ValueError("cannot add elements restricted to different halves")
-    flag = f.flag if f.terms else g.flag
-    return bstein(f.terms + g.terms, flag)
-
-
 def bstein_scale(f: BSteinElt, c: Union[Fraction, int]) -> BSteinElt:
     c = Fraction(c)
     return bstein([(b, h, c * q, U) for b, h, q, U in f.terms], f.flag)
 
 
 def bstein_sub(f: BSteinElt, g: BSteinElt) -> BSteinElt:
-    return bstein_add(f, bstein_scale(g, -1))
+    """f - g in one merge of f's terms and g's negated terms."""
+    if f.flag != g.flag and f.terms and g.terms:
+        raise ValueError("cannot add elements restricted to different halves")
+    negated = tuple((b, h, -c, U) for b, h, c, U in g.terms)
+    return bstein(f.terms + negated, f.flag if f.terms else g.flag)
 
 
 # ---------------------------------------------------------------------------

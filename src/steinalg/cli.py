@@ -428,7 +428,7 @@ def _bundle_identities(rng: random.Random, checks: list) -> None:
     )
 
 
-def _bundle_values(achib: BSteinElt, indices: tuple, checks: list) -> None:
+def _bundle_values(achib: BSteinElt, bn: dict, checks: list) -> None:
     x, y, z = ux(2, 3), uy(2), uz(5)
     bad = ""
     table = [
@@ -442,8 +442,7 @@ def _bundle_values(achib: BSteinElt, indices: tuple, checks: list) -> None:
     for arrow, want in table:
         if bstein_eval(achib, arrow) != want:
             bad = bad or f"(a*chiB)({arrow}) != {want}"
-    for n in indices:
-        bn = bundle_bn(n)
+    for n, b in bn.items():
         size = sphere_size(n)
         h = sphere(n)[0]
         rows = [
@@ -455,7 +454,7 @@ def _bundle_values(achib: BSteinElt, indices: tuple, checks: list) -> None:
             (barrow(1, h, z), Fraction(0)),
         ]
         for arrow, want in rows:
-            if bstein_eval(bn, arrow) != want:
+            if bstein_eval(b, arrow) != want:
                 bad = bad or f"b{n}({arrow}) != {want}"
     _check(
         checks,
@@ -659,7 +658,8 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
     rng = random.Random(seed)
     checks: list = []
     profile = cauchy_profile(indices, example, radius, tol) if indices else None
-    # a*chiB and each a*b_n are built once and shared by the checks
+    # a*chiB and each a*b_n (in the bundle example each b_n too) are built
+    # once and shared by the checks
     if example == "selfsim":
         _selfsim_identities(rng, checks)
         _selfsim_germ_law(rng, checks)
@@ -675,8 +675,9 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
         _bundle_identities(rng, checks)
         if indices:
             achib = bstein_conv(bundle_a(), bundle_chiB())
-            abn = {n: bstein_conv(bundle_a(), bundle_bn(n)) for n in indices}
-            _bundle_values(achib, indices, checks)
+            bn = {n: bundle_bn(n) for n in indices}
+            abn = {n: bstein_conv(bundle_a(), b) for n, b in bn.items()}
+            _bundle_values(achib, bn, checks)
             _bundle_rates(achib, abn, profile.limit_rows, checks)
             _bundle_verdicts(achib, abn, rng, checks)
     cauchy = _cauchy_section(profile, checks) if indices else None

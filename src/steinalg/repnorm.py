@@ -14,6 +14,9 @@ Both models' norms are fiberwise: exact character values on finite
 isotropy, and left-regular walks of the free factor elsewhere.
 ``_fiber_bound`` is the one place where those pieces become a two-sided
 bound; ``stein_H_norm_bound`` and ``bundle_norm_bound`` only collect them.
+``rho_estimate`` takes only whole spheres, the walks of the sphere
+averages b_n, and bounds them above by Haagerup's inequality; every
+other walk goes through ``_fiber_bound``.
 
 Truncations are to balls in the rank-two free group on c, d.  A column of
 a truncated matrix whose image would leave the ball is flagged as a
@@ -61,7 +64,7 @@ from .bundle import (
     bundle_sup_dist,
     stratum_units,
 )
-from .groups import FreeWord, H_GENS, W_ONE, sphere_size
+from .groups import FreeWord, H_GENS, W_ONE, sphere, sphere_size
 from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sub, st_sup_dist
 
 
@@ -306,56 +309,30 @@ def _radial_sphere1_sigma(radius: int, tol: float):
 def rho_estimate(
     K: Sequence[FreeWord], radius: int, tol: float = 1e-9
 ) -> NormEstimate:
-    """Certified estimates for the norm of the normalized walk operator
-    (1/|K|) sum_{k in K} lambda(k) on l2 of the free group on c, d.
+    """Certified estimates for the norm of the sphere average
+    (1/|S_n|) sum_{k in S_n} lambda(k) on l2 of the free group on c, d.
 
-    K must be closed under inverses so the walk is self-adjoint.  The
-    lower bound iterates on the ball truncation with boundary columns
-    removed (for the full radius-1 sphere this reduces exactly to a
-    tridiagonal radial matrix); the upper bound is the layered l2
-    estimate when K is a full sphere, else the trivial average-of-
-    unitaries bound 1.
+    K must be a whole sphere S_n, n >= 1, in any order; anything else
+    raises ``ValueError``.  Other walks are bounded by ``_fiber_bound``.
+    The upper bound is ``haagerup_bound(n)``.  The lower bound iterates
+    on the ball truncation with boundary columns removed; for S_1 this
+    reduces exactly to a tridiagonal radial matrix.
     """
     ks = tuple(K)
-    if not ks:
-        raise ValueError("K must be nonempty")
-    for k in ks:
-        if not isinstance(k, FreeWord) or not k.gens() <= set(H_GENS):
-            raise ValueError(f"walk steps must be words over {H_GENS}")
-    if Counter(ks) != Counter(k.inv() for k in ks):
-        raise ValueError("K must be closed under inverses")
+    n = len(ks[0].chars) if ks and isinstance(ks[0], FreeWord) else 0
+    if n < 1 or len(ks) != sphere_size(n) or set(ks) != set(sphere(n)):
+        raise ValueError("K must be a whole sphere S_n with n >= 1")
     if radius < 1:
         raise ValueError("truncation radius must be positive")
-    if all(k.is_identity() for k in ks):
-        return NormEstimate(1.0, 1.0, 0, radius)
-
-    # reduced c,d-words of one length n >= 1 are S_n exactly when they
-    # are distinct and as many as S_n has
-    lengths = {len(k.chars) for k in ks}
-    sphere_n = None
-    if len(lengths) == 1:
-        n = lengths.pop()
-        if n >= 1 and len(set(ks)) == len(ks) == sphere_size(n):
-            sphere_n = n
-    upper = haagerup_bound(sphere_n) if sphere_n is not None else 1.0
-
-    # a symmetric K cannot shrink every word at once (w would have to start
-    # with every k), so below the minimum step length no column is interior
-    if radius < min(len(k.chars) for k in ks):
-        return NormEstimate(0.0, upper, 0, radius, 0)
-
-    if sphere_n == 1:
+    if n == 1:
         sigma, iters = _radial_sphere1_sigma(radius, tol)
         # the interior columns are the words of ball(radius - 1)
         interior = 2 * 3 ** (radius - 1) - 1
     else:
-        coeffs: dict[FreeWord, Fraction] = {}
-        unit = Fraction(1, len(ks))
-        for k in ks:
-            coeffs[k] = coeffs.get(k, Fraction(0)) + unit
+        coeffs = dict.fromkeys(ks, Fraction(1, len(ks)))
         est = opnorm_lower(h_ball_operator(coeffs, radius), tol)
         sigma, iters, interior = est.lower, est.iterations, est.interior_cols
-    return NormEstimate(sigma, upper, iters, radius, interior)
+    return NormEstimate(sigma, haagerup_bound(n), iters, radius, interior)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,9 @@ PINNED_REPORTS = {
         "2576c92386ca84feabfbae0ccba0c9170c8ddb9c032a9aa9df81d15d49cf5fd9",
     ("scatter", "--indices", "1,2,3,4", "--radius", "6"):
         "78d6b4e4c87fa2ff07761581b067e6cadd5b736e7f6993c68562f3ede1c64331",
+    # n = 3 at radius 2: a sphere wider than its ball, no interior column
+    ("scatter", "--indices", "1,2,3", "--radius", "2"):
+        "9b89ce7c59f9565200e8417533ec7595f7d5e4ca1f47c500d6571cca5ed1d18f",
 }
 
 

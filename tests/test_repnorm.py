@@ -511,15 +511,26 @@ def test_ball_operator_rejects_foreign_letters():
 
 
 def test_rho_validation():
-    with pytest.raises(ValueError):
-        rho_estimate((), radius=3)
-    with pytest.raises(ValueError):
-        rho_estimate((free_word("c"),), radius=3)  # not inverse closed
-    with pytest.raises(ValueError):
-        rho_estimate((free_word("a"), free_word("A")), radius=3)
+    # only a whole sphere S_n, n >= 1, is a valid walk
+    c, C = free_word("c"), free_word("C")
+    not_spheres = [
+        (),
+        (c,),
+        (free_word("a"), free_word("A")),
+        (W_ONE,),
+        (c, C),
+        (c, C, c, C),
+        sphere(2)[1:] + sphere(2)[:1] * 2,  # one word repeated, one missing
+        sphere(2) + sphere(2)[:1],  # one word repeated
+    ]
+    for K in not_spheres:
+        with pytest.raises(ValueError):
+            rho_estimate(K, radius=3)
     with pytest.raises(ValueError):
         rho_estimate(sphere(1), radius=0)
-    assert rho_estimate((W_ONE,), radius=3) == NormEstimate(1.0, 1.0, 0, 3)
+    # the order of the steps does not matter
+    reversed_two = rho_estimate(sphere(2)[::-1], radius=4)
+    assert reversed_two == rho_estimate(sphere(2), radius=4)
 
 
 def test_rho_sphere_one_matches_generic_truncation():
@@ -532,14 +543,16 @@ def test_rho_sphere_one_matches_generic_truncation():
 
 def test_rho_reports_interior_columns_of_its_ball_operator():
     # the radial path reports the interior count of the ball truncation
-    # it stands for, and below the minimum step length there is none
+    # it stands for; below the sphere's radius no column is interior
     coeffs = {h: Fraction(1, 4) for h in sphere(1)}
     for radius in range(1, 6):
         est = rho_estimate(sphere(1), radius=radius)
         generic = opnorm_lower(h_ball_operator(coeffs, radius))
         assert est.interior_cols == generic.interior_cols == len(ball(radius - 1))
     coeffs = {h: Fraction(1, 12) for h in sphere(2)}
-    assert rho_estimate(sphere(2), radius=1).interior_cols == 0
+    assert rho_estimate(sphere(2), radius=1) == NormEstimate(
+        0.0, haagerup_bound(2), 0, 1, 0
+    )
     assert opnorm_lower(h_ball_operator(coeffs, 1)).interior_cols == 0
     assert rho_estimate(sphere(2), radius=4).interior_cols == len(ball(2))
 
@@ -562,17 +575,12 @@ def test_rho_sphere_two():
 
 
 def test_rho_non_sphere_symmetric_set():
-    est = rho_estimate((free_word("c"), free_word("C")), radius=6, tol=1e-12)
-    assert est.upper == 1.0
-    assert 0.8 < est.lower <= 1.0  # the single-generator walk has norm 1
-    # as many steps as S_1 and closed under inverses, but not S_1: no radial
-    # path and no Haagerup bound
+    # the single-generator walk has norm 1, above the sphere-1 walk's
     c, C = free_word("c"), free_word("C")
-    est = rho_estimate((c, C, c, C), radius=5)
-    generic = opnorm_lower(h_ball_operator({c: Fraction(1, 2), C: Fraction(1, 2)}, 5))
-    assert est == NormEstimate(
-        generic.lower, 1.0, generic.iterations, 5, generic.interior_cols
-    )
+    walk = {c: Fraction(1, 2), C: Fraction(1, 2)}
+    est = opnorm_lower(h_ball_operator(walk, 6), tol=1e-12)
+    assert 0.8 < est.lower <= 1.0
+    est = opnorm_lower(h_ball_operator(walk, 5))
     assert est.lower > 0.9 > rho_estimate(sphere(1), radius=5).lower
 
 
@@ -665,7 +673,7 @@ def test_norm_bound_reports_interior_columns():
     est = stein_H_norm_bound(st_sub(st_bn(1), st_bn(2)), radius=6)
     assert est.interior_cols == len(ball(4))
     assert opnorm_lower(h_ball_operator({W_ONE: Fraction(1)}, 2)).interior_cols == 17
-    assert rho_estimate((W_ONE,), radius=3).interior_cols is None
+    assert repnorm._fiber_bound([Fraction(1)], [], 3, 1e-9).interior_cols is None
 
 
 def test_bundle_norm_bound_builds_each_walk_once(monkeypatch):
