@@ -34,7 +34,6 @@ from .bundle import (
     bstein_scale,
     bstein_star,
     bundle_a,
-    bundle_bn,
     bundle_chi,
     bundle_chiB,
     bundle_is_singular,
@@ -84,7 +83,6 @@ from .steinberg import (
     h_elt,
     region_member,
     st_a,
-    st_bn,
     st_chiB,
     st_chi_cylinder,
     st_conv,
@@ -658,14 +656,14 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
     rng = random.Random(seed)
     checks: list = []
     profile = cauchy_profile(indices, example, radius, tol) if indices else None
-    # a*chiB and each a*b_n (in the bundle example each b_n too) are built
-    # once and shared by the checks
+    # the profile builds each b_n; a*chiB and each a*b_n are built once and
+    # shared by the checks
     if example == "selfsim":
         _selfsim_identities(rng, checks)
         _selfsim_germ_law(rng, checks)
         if indices:
             achib = st_conv(st_a(), st_chiB())
-            abn = {n: st_conv(st_a(), st_bn(n)) for n in indices}
+            abn = {n: st_conv(st_a(), b) for n, b in profile.elements.items()}
             _selfsim_support(achib, checks)
             _selfsim_values(achib, abn, profile.limit_rows, rng, checks)
             _selfsim_witness(achib, abn, rng, checks)
@@ -675,7 +673,7 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
         _bundle_identities(rng, checks)
         if indices:
             achib = bstein_conv(bundle_a(), bundle_chiB())
-            bn = {n: bundle_bn(n) for n in indices}
+            bn = profile.elements
             abn = {n: bstein_conv(bundle_a(), b) for n, b in bn.items()}
             _bundle_values(achib, bn, checks)
             _bundle_rates(achib, abn, profile.limit_rows, checks)

@@ -46,7 +46,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 # OpenBLAS's worker threads spin for about 0.1 s of CPU after numpy
 # starts, and one thread is faster on the small SVDs done here; a value
@@ -461,10 +461,14 @@ class LimitRow:
 
 @dataclass(frozen=True)
 class CauchyProfile:
+    """The pair and limit rows, and ``elements``, the b_n the rows were
+    computed from, by index, for callers that need them again."""
+
     example: str
     radius: int
     rows: tuple[CauchyRow, ...]
     limit_rows: tuple[LimitRow, ...]
+    elements: Mapping[int, Union[SteinElt, BSteinElt]]
 
 
 def cauchy_profile(
@@ -514,4 +518,4 @@ def cauchy_profile(
             sup = dist(elts[n], elts[m])
             rows.append(CauchyRow(n, m, sup, est.upper, est.lower, pi_triv))
     limit_rows = tuple(LimitRow(n, dist(elts[n], limit)) for n in idx)
-    return CauchyProfile(example, radius, tuple(rows), limit_rows)
+    return CauchyProfile(example, radius, tuple(rows), limit_rows, elts)

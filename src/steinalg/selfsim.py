@@ -372,6 +372,17 @@ def germ_key(s: SElt, w: Word):
     the letters of w they replace, and the restriction past src.  The
     stripping makes the key independent of how far s was cut down around
     w, and the shift and the stripped image give back the whole image.
+
+    Past beta the letters enter only through homomorphism images: g moves
+    a y-letter's index by zeta_ch(g) and restricts to tau(g), and
+    multiplies a z-letter's index by pi_ch(g) and restricts to 1, so the
+    letter is unchanged, and stripped, exactly when zeta_ch(g) = 0 or
+    pi_ch(g) = 1.  Elements that share beta act on the same letters there,
+    and an index cancels when two images of one letter are compared: their
+    keys agree exactly when their alphas and these images agree, whatever
+    the letters' indices.  ``steinberg`` keys such elements by those
+    images; this function is the key wherever a shorter source prefix acts
+    on letters of a longer one, and the oracle for the image keys.
     """
     k = len(s.beta.letters)
     src = w.prefix(k + STABILIZATION_DEPTH).letters

@@ -26,11 +26,23 @@ infinite word.  The other classes are exact: finite words of one length,
 whose germ sets contain no open set.  A function is therefore singular
 precisely when no nonzero stratum is interior.
 
-One lazy fold over these classes, ``_class_sums``, keys each term once
-per class and sums integer numerators per germ key.  Both readers take
-its sums: ``st_support_strata`` turns each nonzero one into a stratum,
-and ``st_sup_dist``, fed f with sign +1 and g with -1, keeps the
-largest |sum|.
+One lazy fold over these classes, ``_class_sums``, sums integer
+numerators per germ key.  Both readers take its sums:
+``st_support_strata`` turns each nonzero one into a stratum, and
+``st_sup_dist``, fed f with sign +1 and g with -1, keeps the largest
+|sum|.
+
+The fold and ``st_eval`` key terms by homomorphism images wherever no
+source prefix reaches (``_germ_keys``).  When every term defined at a
+word has the same source prefix beta, the letters past beta are acted on
+by every term alike: a y-letter's index moves by zeta_ch(g) and the
+restriction becomes tau(g), a z-letter's index is multiplied by
+pi_ch(g) and the restriction becomes 1.  The index cancels when two
+images of the same letter are compared, so two such germs agree exactly
+when their alphas and these images agree.  Each term's images are read
+off once per fold or evaluation, and such keys are plain tuples of ints
+and strings.  Where a shorter source prefix acts on letters of a longer
+one, the terms are keyed by ``germ_key``.
 """
 
 from __future__ import annotations
@@ -125,17 +137,69 @@ def st_conv(f: SteinElt, g: SteinElt) -> SteinElt:
     return st_make(prods, g.region)
 
 
+def _key_images(elts: list[SElt]) -> list[tuple]:
+    """What the image keys of ``_germ_keys`` read of each element, once:
+    an id of alpha (equal ids for equal alphas), the parts h and f of g,
+    zeta_1(g) and zeta_2(g), and the integer parts sigma_a(f),
+    sigma_b(f) of tau(g), which are also tau(g)'s images zeta_i and
+    pi_i.  pi_i(g) is (h, f, zeta_i(g))."""
+    ids: dict[tuple, int] = {}
+    out = []
+    for s in elts:
+        g = s.g
+        f = g.f.chars
+        sa, sb = f.count("a") - f.count("A"), f.count("b") - f.count("B")
+        aid = ids.setdefault(s.alpha.letters, len(ids))
+        out.append((aid, g.h.chars, f, g.n, g.m, sa, sb))
+    return out
+
+
+def _germ_keys(
+    elts: list[SElt], images: list[tuple], b: Optional[int], word: Word
+) -> tuple[list, bool]:
+    """Keys of ``elts``, all defined at ``word``, that are equal exactly
+    where their ``germ_key``s are, and whether every restriction past a
+    finite ``word`` is trivial.  ``images`` is ``_key_images`` of
+    ``elts``, and ``b`` their common source prefix length, or None.
+
+    With no common length the keys are ``germ_key``s.  Otherwise a key is
+    alpha's id and the images that decide the letters past beta (see the
+    module docstring): all of g with no letter past beta; zeta_ch(g) at a
+    y-letter, then sigma_a and sigma_b of the restriction tau(g), or only
+    the sigma of the next letter's channel when there is one; pi_ch(g) at
+    a z-letter, after which every element copies the word.
+    """
+    if b is None:
+        keys = [germ_key(s, word) for s in elts]
+        return keys, all(k[2] == G_ONE for k in keys)
+    tail = word.prefix(b + STABILIZATION_DEPTH).letters[b:]
+    if not tail:
+        keys = [im[:5] for im in images]
+        return keys, all(key[1:] == ("", "", 0, 0) for key in keys)
+    x = tail[0]
+    zeta = 2 + x.channel
+    if x.family == "z":
+        return [(im[0], im[1], im[2], im[zeta]) for im in images], True
+    if len(tail) == 1:
+        keys = [(im[0], im[zeta], im[5], im[6]) for im in images]
+        return keys, all(im[5:] == (0, 0) for im in images)
+    sigma = 4 + tail[1].channel
+    return [(im[0], im[zeta], im[sigma]) for im in images], True
+
+
 def st_eval(f: SteinElt, g: Germ) -> Fraction:
     """Exact value at a germ: the sum of coefficients of terms defined at
     the base word with the same germ there."""
     if not region_member(f.region, g.word):
         return Fraction(0)
-    target = germ_key(g.s, g.word)
-    total = Fraction(0)
-    for s, c in f.terms:
-        if s_defined_at(s, g.word) and germ_key(s, g.word) == target:
-            total += c
-    return total
+    defined = [(s, c) for s, c in f.terms if s_defined_at(s, g.word)]
+    elts = [g.s] + [s for s, _ in defined]
+    lengths = {len(s.beta) for s in elts}
+    b = lengths.pop() if len(lengths) == 1 else None
+    keys, _ = _germ_keys(elts, _key_images(elts), b, g.word)
+    target = keys[0]
+    hits = (c for (_, c), key in zip(defined, keys[1:]) if key == target)
+    return sum(hits, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +284,14 @@ def _class_sums(parts: list) -> tuple:
     ``sums`` maps each germ key at ``rep_word`` to ``[numerator,
     members]``: the terms defined there inside their own element's region
     with that key, and the sum of their signed coefficients times D.
-    Each defined term is keyed once per class, and each region is tested
-    once per class.
+    ``_germ_keys`` keys the defined terms of each class, from images read
+    off each term once per fold, and each region is tested once per class.
 
     A node at depth >= 1 is settled when no written source prefix is still
-    alive below it and every key's residual is trivial (a key taken short
-    of |beta| + 2 letters carries the restriction past the representative
-    as its residual).  Past a settled node every term copies the letters
-    and its key strips them again, so the keys, the partition and both
+    alive below it and every restriction past the representative is
+    trivial (a term keyed short of |beta| + 2 letters may still act).
+    Past a settled node every term copies the letters and its germ key
+    strips them again, so the keys, the partition and both
     regions' membership are constant on the whole cylinder: the node
     yields one ``interior`` class, with an infinite representative and
     the keys of the finite one, and the walk stops.  Every node at depth
@@ -238,26 +302,34 @@ def _class_sums(parts: list) -> tuple:
         return 1, iter(())
     denom = lcm(*(c.denominator for _, c, _ in signed))
     terms = [(s, c.numerator * (denom // c.denominator), i) for s, c, i in signed]
+    elts = [s for s, _, _ in terms]
+    images = _key_images(elts)
+    betas = [s.beta.letters for s in elts]
     regions = [f.region for f, _ in parts]
-    L = max(len(s.beta) + STABILIZATION_DEPTH for s, _, _ in terms)
-    written = [x for s, _, _ in terms for x in s.alpha + s.beta]
+    L = max(len(b) + STABILIZATION_DEPTH for b in betas)
+    written = [x for s in elts for x in s.alpha + s.beta]
     ys = {x.index for x in written if x.family == "y"}
     zs = {x.index for x in written if x.family == "z"}
     tail = FinWord((_fresh_letter("y", 1, L, ys, zs),))
 
-    def walk(pos, pattern, rep, alive):
+    # defined: the terms whose beta rep extends, in term order, and b the
+    # length their betas share (None if they differ); alive: the terms
+    # whose longer beta rep is still a prefix of
+    def walk(pos, pattern, rep, defined, b, alive):
         rep_fin = FinWord(tuple(rep))
-        keyed = [
-            (t, germ_key(t[0], rep_fin))
-            for t in terms
-            if len(t[0].beta) <= pos and rep_fin.startswith(t[0].beta)
-        ]
-        alive = [w for w in alive if len(w) > pos]
-        settled = pos > 0 and not alive and all(key[2] == G_ONE for _, key in keyed)
+        keys, trivial = (
+            _germ_keys(
+                [elts[t] for t in defined], [images[t] for t in defined], b, rep_fin
+            )
+            if defined
+            else ([], True)
+        )
+        settled = pos > 0 and not alive and trivial
         word = omega(rep_fin, tail) if settled else rep_fin
         inside = [region_member(r, word) for r in regions]
         sums: dict = {}
-        for (s, num, i), key in keyed:
+        for t, key in zip(defined, keys):
+            s, num, i = terms[t]
             if inside[i]:
                 entry = sums.setdefault(key, [0, []])
                 entry[0] += num
@@ -265,19 +337,25 @@ def _class_sums(parts: list) -> tuple:
         yield pattern, word, settled, sums
         if settled:
             return
-        for x in sorted({w[pos] for w in alive}, key=Letter.sort_key):
+        for x in sorted({betas[t][pos] for t in alive}, key=Letter.sort_key):
+            below = [t for t in alive if betas[t][pos] == x]
+            ends = [t for t in below if len(betas[t]) == pos + 1]
             yield from walk(
                 pos + 1,
                 pattern + (("lit", x),),
                 rep + [x],
-                [w for w in alive if w[pos] == x],
+                sorted(defined + ends) if ends else defined,
+                (None if defined else pos + 1) if ends else b,
+                [t for t in below if len(betas[t]) > pos + 1],
             )
         for fam, ch in GEN_FAMILIES:
             x = _fresh_letter(fam, ch, pos, ys, zs)
-            yield from walk(pos + 1, pattern + (("gen", fam, ch),), rep + [x], [])
+            gen = pattern + (("gen", fam, ch),)
+            yield from walk(pos + 1, gen, rep + [x], defined, b, [])
         # generic letters match no written prefix, so nothing stays alive
 
-    return denom, walk(0, (), [], [s.beta for s, _, _ in terms])
+    roots = [t for t, beta in enumerate(betas) if not beta]
+    return denom, walk(0, (), [], roots, 0, [t for t, beta in enumerate(betas) if beta])
 
 
 def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:

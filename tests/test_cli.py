@@ -79,6 +79,9 @@ PINNED_REPORTS = {
         "77e4ea44c02794bdd208810cb243b646fedb1e27fe108b678a534a27efcf91af",
     ("verify", "--indices", "1,2,3", "--seed", "0", "--format", "csv"):
         "da251dd6781dfde8493bc920dbe47ba45f58f245aceab4740fd3217f3a46b07e",
+    # depth-2 generic classes at n = 4 and a second witness-sampling seed
+    ("verify", "--indices", "1,2,3,4", "--seed", "3"):
+        "71a62855dc81a4f5e167e16ac2756fb53f0bd5010ecb2aa157bf97c6cddae29d",
     ("verify", "--example", "bundle", "--indices", "1,2,3", "--seed", "0"):
         "2576c92386ca84feabfbae0ccba0c9170c8ddb9c032a9aa9df81d15d49cf5fd9",
     ("scatter", "--indices", "1,2,3,4", "--radius", "6"):
@@ -133,7 +136,9 @@ def test_verify_bundle_cauchy_uses_bundle_elements(monkeypatch):
     def no_selfsim(*args):
         raise AssertionError("selfsim b_n used in the bundle example")
 
-    patches = [(cli, "st_bn"), (repnorm, "st_bn"), (repnorm, "st_sub")]
+    # cli takes every b_n from the profile and has no st_bn to call
+    assert not hasattr(cli, "st_bn")
+    patches = [(repnorm, "st_bn"), (repnorm, "st_sub")]
     # positive control: each patch point is live on the selfsim path
     for module, name in patches:
         with monkeypatch.context() as m:
@@ -192,6 +197,25 @@ def test_verify_builds_each_selfsim_product_once(monkeypatch):
     assert all(f == st_a() for f, _ in calls)
     rights = [g for _, g in calls]
     assert [rights.count(g) for g in (st_chiB(), st_bn(1), st_bn(2))] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "example, builder", [("selfsim", "st_bn"), ("bundle", "bundle_bn")]
+)
+def test_verify_builds_each_bn_once(monkeypatch, example, builder):
+    # the Cauchy profile builds each b_n and verify takes them from it
+    real = getattr(repnorm, builder)
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(repnorm, builder, counting)
+    assert not hasattr(cli, builder)
+    res = run("verify", "--example", example, "--indices", "1,2,3")
+    assert res.exit_code == 0
+    assert calls == [1, 2, 3]
 
 
 def _doctor_profile(monkeypatch, edit):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from steinalg import steinberg
 from steinalg.groups import (
     GElt,
     KElt,
@@ -37,7 +38,9 @@ from steinalg.selfsim import (
     s_defined_at,
     s_from_group,
     s_inv,
+    s_from_word,
     s_mul,
+    s_proj,
     yl,
     zl,
 )
@@ -625,3 +628,104 @@ def test_settled_walk_class_counts(n):
     assert sum(1 for _ in _class_sums([(abn, 1)])[1]) == 13
     assert sum(1 for _ in oracle_word_classes(signed)) == 21
     assert sum(1 for _ in oracle_word_classes(abn.terms)) == 21
+
+
+# ---------------------------------------------------------------------------
+# image keys against germ_key
+# ---------------------------------------------------------------------------
+
+
+def oracle_eval(f, gm):
+    """The value at a germ, term by term: the coefficients of the terms
+    defined at the base word whose ``germ_key`` there is the germ's."""
+    if not region_member(f.region, gm.word):
+        return Fraction(0)
+    target = germ_key(gm.s, gm.word)
+    return sum(
+        (
+            c
+            for s, c in f.terms
+            if s_defined_at(s, gm.word) and germ_key(s, gm.word) == target
+        ),
+        Fraction(0),
+    )
+
+
+# terms sharing a few alphas and betas, so that many germs meet
+shared_words = st.sampled_from([EPS, finword(yl(1, 0)), finword(zl(2, K_ONE))])
+stein_shared = st.builds(
+    lambda ts, kind: st_make(ts, kind),
+    st.lists(
+        st.tuples(st.builds(SElt, shared_words, g_elts, shared_words), coeffs),
+        max_size=4,
+    ),
+    any_region,
+)
+stein_keyed = st.one_of(stein_any, stein_shared)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stein_keyed, stein_keyed, st.data())
+def test_image_keys_partition_terms_as_germ_key_does(f, g, data):
+    # every class of the fold groups its terms as germ_key does
+    for _, rep, _, sums in _class_sums([(f, 1), (g, -1)])[1]:
+        blocks = {frozenset(members) for _, members in sums.values()}
+        by_key = {}
+        for _, members in sums.values():
+            for m in members:
+                by_key.setdefault(germ_key(m, rep), set()).add(m)
+        assert blocks == {frozenset(b) for b in by_key.values()}
+    # st_eval agrees with the term-by-term sum, also where the letters
+    # past every beta are literals written in some term's alpha
+    terms = f.terms + g.terms
+    written = sorted(
+        {x for s, _ in terms for x in s.alpha}, key=Letter.sort_key
+    )
+    pool = st.one_of(letters, st.sampled_from(written)) if written else letters
+    for s, _ in terms:
+        w = s.beta + FinWord(tuple(data.draw(st.lists(pool, max_size=3))))
+        if data.draw(st.booleans()):
+            period = data.draw(st.lists(pool, min_size=1, max_size=2))
+            w = omega(w, FinWord(tuple(period)))
+        for t, _ in terms:
+            if s_defined_at(t, w):
+                gm = Germ(t, w)
+                assert st_eval(f, gm) == oracle_eval(f, gm)
+
+
+def counting_germ_key(monkeypatch):
+    calls = []
+
+    def counting(s, w):
+        calls.append((s, w))
+        return germ_key(s, w)
+
+    monkeypatch.setattr(steinberg, "germ_key", counting)
+    return calls
+
+
+def test_class_sums_key_shared_betas_by_images(monkeypatch):
+    # a*b_2's terms all have beta = 1, so no class needs germ_key
+    calls = counting_germ_key(monkeypatch)
+    abn = st_conv(st_a(), st_bn(2))
+    assert sum(1 for _ in _class_sums([(abn, 1)])[1]) == 13
+    assert calls == []
+    # positive control: at y1[0], 1 acts on the letter that the
+    # projection's beta holds, so that one class keys both terms
+    x = finword(yl(1, 0))
+    mixed = st_make([(S_ONE, 1), (s_proj(x), 1)])
+    list(_class_sums([(mixed, 1)])[1])
+    assert calls == [(S_ONE, x), (s_proj(x), x)]
+
+
+def test_eval_at_witness_germs_calls_no_germ_key(monkeypatch):
+    # the open witness of a*b_2 read at germs [h, z[k].w]
+    calls = counting_germ_key(monkeypatch)
+    abn = st_conv(st_a(), st_bn(2))
+    w = st_open_witness(abn)
+    k = KElt(free_word("cd"), free_word("a"), 2)
+    for rest in (EPS, finword(yl(2, 1)), omega(finword(zl(1, k)), finword(yl(1, 3)))):
+        word = s_apply(s_from_word(finword(zl(w.channel, k))), rest)
+        value = st_eval(abn, Germ(s_from_group(w.group_elt), word))
+        assert abs(value) == w.floor
+    assert calls == []
