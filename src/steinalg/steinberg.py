@@ -317,12 +317,8 @@ def _class_sums(parts: list) -> tuple:
     # whose longer beta rep is still a prefix of
     def walk(pos, pattern, rep, defined, b, alive):
         rep_fin = FinWord(tuple(rep))
-        keys, trivial = (
-            _germ_keys(
-                [elts[t] for t in defined], [images[t] for t in defined], b, rep_fin
-            )
-            if defined
-            else ([], True)
+        keys, trivial = _germ_keys(
+            [elts[t] for t in defined], [images[t] for t in defined], b, rep_fin
         )
         settled = pos > 0 and not alive and trivial
         word = omega(rep_fin, tail) if settled else rep_fin
