@@ -362,14 +362,6 @@ def bstein_scale(f: BSteinElt, c: Union[Fraction, int]) -> BSteinElt:
     return bstein([(b, h, c * q, U) for b, h, q, U in f.terms], f.flag)
 
 
-def bstein_sub(f: BSteinElt, g: BSteinElt) -> BSteinElt:
-    """f - g in one merge of f's terms and g's negated terms."""
-    if f.flag != g.flag and f.terms and g.terms:
-        raise ValueError("cannot add elements restricted to different halves")
-    negated = tuple((b, h, -c, U) for b, h, c, U in g.terms)
-    return bstein(f.terms + negated, f.flag if f.terms else g.flag)
-
-
 # ---------------------------------------------------------------------------
 # the named elements
 # ---------------------------------------------------------------------------

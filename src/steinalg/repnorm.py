@@ -14,6 +14,8 @@ Both models' norms are fiberwise: exact character values on finite
 isotropy, and left-regular walks of the free factor elsewhere.
 ``_fiber_bound`` is the one place where those pieces become a two-sided
 bound; ``stein_H_norm_bound`` and ``bundle_norm_bound`` only collect them.
+Both take signed parts ``[(element, sign), ...]``, as the folds do, so a
+difference f - g is bounded as ``[(f, 1), (g, -1)]`` and never built.
 ``rho_estimate`` takes only whole spheres, the walks of the sphere
 averages b_n, and bounds them above by Haagerup's inequality; every
 other walk goes through ``_fiber_bound``.
@@ -58,14 +60,13 @@ import numpy as np
 from .bundle import (
     BSteinElt,
     _fiber_sums,
-    bstein_sub,
     bundle_bn,
     bundle_chiB,
     bundle_sup_dist,
     stratum_units,
 )
 from .groups import FreeWord, H_GENS, W_ONE, sphere, sphere_size
-from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sub, st_sup_dist
+from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sup_dist
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +345,9 @@ def _layered_upper(coeffs: Mapping[FreeWord, Fraction]) -> float:
     """sum_l (l+1) ||f_l||_2, each layer's square norm summed exactly per
     distinct coefficient times its multiplicity.  Coefficients are counted
     by numerator and denominator, since hashing a Fraction costs a modular
-    inverse."""
+    inverse.  The layers are added with ``math.fsum``, so the bound does
+    not depend on the order of the terms, and signed parts give the same
+    float as their merged difference."""
     layers: dict[int, Fraction] = {}
     counts = Counter(
         (len(h.chars), c.numerator, c.denominator) for h, c in coeffs.items()
@@ -352,7 +355,7 @@ def _layered_upper(coeffs: Mapping[FreeWord, Fraction]) -> float:
     for (length, p, q), mult in counts.items():
         square = Fraction(mult * p * p, q * q)
         layers[length] = layers.get(length, Fraction(0)) + square
-    return sum((l + 1) * math.sqrt(q) for l, q in layers.items())
+    return math.fsum((l + 1) * math.sqrt(q) for l, q in layers.items())
 
 
 def _fiber_bound(
@@ -377,34 +380,37 @@ def _fiber_bound(
 
 
 def stein_H_norm_bound(
-    f: SteinElt, radius: int = 6, tol: float = 1e-9
+    parts: Sequence[tuple[SteinElt, int]], radius: int, tol: float
 ) -> NormEstimate:
-    """Two-sided bound for the reduced norm of a combination of fiber
-    group terms (group elements of the free factor on c, d).
+    """Two-sided bound for the reduced norm of the signed sum of ``parts``,
+    pairs ``(f, sign)`` of combinations of fiber group terms (group
+    elements of the free factor on c, d).
 
     On a cylinder rooted in a y-family all such terms share one germ, so
     those base words contribute exactly |sum of coefficients|.  Rooted in
     a z-family or at the empty word the germs are the left translations
     of the free factor: one walk in the regular representation.
     """
-    if f.region != REGION_FULL:
-        raise ValueError("norm bound needs an unrestricted element")
     coeffs: dict[FreeWord, Fraction] = {}
-    for s, c in f.terms:
-        g = s.g
-        if len(s.alpha) or len(s.beta) or not g.f.is_identity() or g.n or g.m:
-            raise ValueError("terms must be fiber group elements over c, d")
-        coeffs[g.h] = coeffs.get(g.h, Fraction(0)) + c
+    for f, sign in parts:
+        if f.region != REGION_FULL:
+            raise ValueError("norm bound needs an unrestricted element")
+        for s, c in f.terms:
+            g = s.g
+            if len(s.alpha) or len(s.beta) or not g.f.is_identity() or g.n or g.m:
+                raise ValueError("terms must be fiber group elements over c, d")
+            coeffs[g.h] = coeffs.get(g.h, Fraction(0)) + sign * c
     walk = {h: c for h, c in coeffs.items() if c != 0}
     total = sum(walk.values(), Fraction(0))
     return _fiber_bound([total], [walk] if walk else [], radius, tol)
 
 
 def bundle_norm_bound(
-    f: BSteinElt, radius: int = 6, tol: float = 1e-9
+    parts: Sequence[tuple[BSteinElt, int]], radius: int, tol: float
 ) -> NormEstimate:
-    """Two-sided reduced-norm bound for a bundle element: the sup of the
-    fiber operator norms over one unit per fiber stratum.
+    """Two-sided reduced-norm bound for the signed sum of ``parts``, pairs
+    ``(f, sign)`` of bundle elements: the sup of the fiber operator norms
+    over one unit per fiber stratum of all the parts.
 
     x-fibers are trivial and y-fibers abelian of order two, so both give
     exact character values v0 + v1 and v0 - v1 (an x-fiber holds only
@@ -414,8 +420,8 @@ def bundle_norm_bound(
     fold's integer numerators, and equal walks (such as the eps unit's
     and a fresh z-unit's) are estimated once.
     """
-    units = stratum_units((f,))
-    denom, tables = _fiber_sums([(f, 1)], units)
+    units = stratum_units(tuple(f for f, _ in parts))
+    denom, tables = _fiber_sums(parts, units)
     exact: list[Fraction] = []
     walks: dict[frozenset, dict[FreeWord, int]] = {}
     for u, sums in zip(units, tables):
@@ -481,7 +487,10 @@ def cauchy_profile(
 
     For each pair n < m of indices one row records the exact pointwise
     sup distance, a certified two-sided bound for the reduced norm of
-    b_n - b_m, and the coefficient sum of b_n - b_m; limit rows record
+    b_n - b_m, and the coefficient sum of b_n - b_m.  No difference is
+    built: the norm bound takes the signed parts [(b_n, 1), (b_m, -1)],
+    as the folds do, and the coefficient sum is that of b_n minus that of
+    b_m, each taken once per element.  Limit rows record
     the sup distance to the indicator of the y-rooted half.  Pointwise
     the b_n converge (sup distances vanish), and the norm rows tend to 0
     as well: the certified upper bound of a pair is haagerup_bound(n) +
@@ -492,30 +501,22 @@ def cauchy_profile(
         if not isinstance(n, int) or n < 1:
             raise ValueError("sphere indices must be positive integers")
     if example == "selfsim":
-        elts = {n: st_bn(n) for n in idx}
-        limit = st_chiB()
-        dist = st_sup_dist
-
-        def bound(n, m):
-            d = st_sub(elts[n], elts[m])
-            return stein_H_norm_bound(d, radius, tol), sum(c for _, c in d.terms)
-
+        build, chi, dist, bound = st_bn, st_chiB, st_sup_dist, stein_H_norm_bound
+        at = 1  # a term is (s, c)
     elif example == "bundle":
-        elts = {n: bundle_bn(n) for n in idx}
-        limit = bundle_chiB()
-        dist = bundle_sup_dist
-
-        def bound(n, m):
-            d = bstein_sub(elts[n], elts[m])
-            return bundle_norm_bound(d, radius, tol), sum(t[2] for t in d.terms)
-
+        build, chi, dist = bundle_bn, bundle_chiB, bundle_sup_dist
+        bound, at = bundle_norm_bound, 2  # a term is (bit, h, c, region)
     else:
         raise ValueError(f"unknown example {example!r}")
+    elts = {n: build(n) for n in idx}
+    limit = chi()
+    totals = {n: sum(t[at] for t in f.terms) for n, f in elts.items()}
     rows = []
     for i, n in enumerate(idx):
         for m in idx[i + 1:]:
-            est, pi_triv = bound(n, m)
+            est = bound([(elts[n], 1), (elts[m], -1)], radius, tol)
             sup = dist(elts[n], elts[m])
+            pi_triv = totals[n] - totals[m]
             rows.append(CauchyRow(n, m, sup, est.upper, est.lower, pi_triv))
     limit_rows = tuple(LimitRow(n, dist(elts[n], limit)) for n in idx)
     return CauchyProfile(example, radius, tuple(rows), limit_rows, elts)

@@ -108,19 +108,12 @@ def st_make(
     return SteinElt(tuple(out), region if out else REGION_FULL)
 
 
-def st_add(f: SteinElt, g: SteinElt) -> SteinElt:
+def st_sub(f: SteinElt, g: SteinElt) -> SteinElt:
+    """f - g in one merge of f's terms and g's negated terms."""
     if f.region != g.region and f.terms and g.terms:
         raise ValueError("cannot add elements restricted to different regions")
-    region = f.region if f.terms else g.region
-    return st_make(f.terms + g.terms, region)
-
-
-def st_scale(f: SteinElt, c: Union[Fraction, int]) -> SteinElt:
-    return st_make([(s, Fraction(c) * q) for s, q in f.terms], f.region)
-
-
-def st_sub(f: SteinElt, g: SteinElt) -> SteinElt:
-    return st_add(f, st_scale(g, -1))
+    negated = tuple((s, -c) for s, c in g.terms)
+    return st_make(f.terms + negated, f.region if f.terms else g.region)
 
 
 def st_conv(f: SteinElt, g: SteinElt) -> SteinElt:

@@ -456,7 +456,7 @@ def test_criterion_06_haagerup_scattering_table():
         diff = st_sub(st_bn(n), st_bn(m))
         triv = sum((c for _, c in diff.terms), Fraction(0))
         ok = ok and triv == 0
-        bound = stein_H_norm_bound(diff, radius=6, tol=1e-6)
+        bound = stein_H_norm_bound([(st_bn(n), 1), (st_bn(m), -1)], radius=6, tol=1e-6)
         ok = ok and abs(bound.upper - (haagerup_bound(n) + haagerup_bound(m))) < 1e-12
         ok = ok and bound.lower <= bound.upper + 1e-12
     elapsed = time.monotonic() - start

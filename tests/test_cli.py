@@ -136,17 +136,16 @@ def test_verify_bundle_cauchy_uses_bundle_elements(monkeypatch):
     def no_selfsim(*args):
         raise AssertionError("selfsim b_n used in the bundle example")
 
-    # cli takes every b_n from the profile and has no st_bn to call
+    # cli takes every b_n from the profile and has no st_bn to call, and
+    # the profile passes b_n and b_m to the norm bound without a difference
     assert not hasattr(cli, "st_bn")
-    patches = [(repnorm, "st_bn"), (repnorm, "st_sub")]
-    # positive control: each patch point is live on the selfsim path
-    for module, name in patches:
-        with monkeypatch.context() as m:
-            m.setattr(module, name, no_selfsim)
-            with pytest.raises(AssertionError, match="selfsim b_n used"):
-                run("verify", "--example", "selfsim", "--indices", "1,2")
-    for module, name in patches:
-        monkeypatch.setattr(module, name, no_selfsim)
+    assert not hasattr(repnorm, "st_sub")
+    # positive control: the patch point is live on the selfsim path
+    with monkeypatch.context() as m:
+        m.setattr(repnorm, "st_bn", no_selfsim)
+        with pytest.raises(AssertionError, match="selfsim b_n used"):
+            run("verify", "--example", "selfsim", "--indices", "1,2")
+    monkeypatch.setattr(repnorm, "st_bn", no_selfsim)
     res = run("verify", "--example", "bundle", "--indices", "1,2,3")
     assert res.exit_code == 0
     checks = json.loads(res.stdout)["checks"]

@@ -24,12 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from steinalg import repnorm
+from steinalg import bundle as bundle_module, repnorm, steinberg
 
 from steinalg.bundle import (
     WHOLE_SET,
     bstein,
-    bstein_sub,
     bundle_a,
     bundle_bn,
     bundle_chiB,
@@ -300,7 +299,7 @@ def test_stein_H_norm_bound_matches_germ_oracle():
     assert at_y.shape == (1, 1)
     collapse = sum((c for _, _, c in at_y.entries), Fraction(0))
     assert collapse == w1 + w2
-    est = stein_H_norm_bound(f, radius=4)
+    est = stein_H_norm_bound([(f, 1)], radius=4, tol=1e-9)
     assert est.interior_cols == m.shape[1] - len(m.boundary_cols) == len(ball(2))
     assert est.lower == pytest.approx(
         max(float(abs(collapse)), opnorm_lower(m).lower), abs=1e-9
@@ -602,26 +601,30 @@ def test_haagerup_frozen_values():
 
 
 def test_norm_bound_validation():
-    with pytest.raises(ValueError):
-        stein_H_norm_bound(SteinElt(st_bn(1).terms, REGION_B))
-    with pytest.raises(ValueError):
-        stein_H_norm_bound(st_conv(st_a(), st_bn(1)))
+    restricted = SteinElt(st_bn(1).terms, REGION_B)
+    with pytest.raises(ValueError, match="unrestricted"):
+        stein_H_norm_bound([(restricted, 1)], radius=2, tol=1e-9)
+    # every part is checked, not only the first
+    with pytest.raises(ValueError, match="unrestricted"):
+        stein_H_norm_bound([(st_bn(2), 1), (restricted, -1)], radius=2, tol=1e-9)
+    with pytest.raises(ValueError, match="fiber group elements"):
+        stein_H_norm_bound([(st_conv(st_a(), st_bn(1)), 1)], radius=2, tol=1e-9)
 
 
 def test_norm_bound_scalar_and_sphere_average():
     three = st_make([(s_from_group(h_elt(W_ONE)), Fraction(3))])
-    est = stein_H_norm_bound(three, radius=2)
+    est = stein_H_norm_bound([(three, 1)], radius=2, tol=1e-9)
     assert (est.lower, est.upper) == (3.0, 3.0)
     # the collapsed germ on y-rooted words pins the norm of b_n at 1
-    est = stein_H_norm_bound(st_bn(1), radius=4)
+    est = stein_H_norm_bound([(st_bn(1), 1)], radius=4, tol=1e-9)
     assert est.lower == pytest.approx(1.0)
     assert est.upper == pytest.approx(1.0)
-    zero = stein_H_norm_bound(st_sub(st_bn(1), st_bn(1)))
+    zero = stein_H_norm_bound([(st_bn(1), 1), (st_bn(1), -1)], radius=6, tol=1e-9)
     assert (zero.lower, zero.upper) == (0.0, 0.0)
 
 
 def test_norm_bound_difference_layers():
-    est = stein_H_norm_bound(st_sub(st_bn(1), st_bn(2)), radius=6, tol=1e-9)
+    est = stein_H_norm_bound([(st_bn(1), 1), (st_bn(2), -1)], radius=6, tol=1e-9)
     assert est.upper == pytest.approx(haagerup_bound(1) + haagerup_bound(2))
     assert 0.5 < est.lower <= est.upper + 1e-12
 
@@ -631,7 +634,7 @@ def oracle_layered_upper(coeffs) -> float:
     layers = {}
     for h, c in coeffs.items():
         layers[len(h.chars)] = layers.get(len(h.chars), Fraction(0)) + c * c
-    return sum((l + 1) * math.sqrt(q) for l, q in layers.items())
+    return math.fsum((l + 1) * math.sqrt(q) for l, q in layers.items())
 
 
 @given(st.dictionaries(walk_words, walk_coeffs, max_size=12))
@@ -647,30 +650,40 @@ def test_layered_upper_matches_per_word_sum(coeffs):
     assert repnorm._layered_upper(coeffs) == oracle_layered_upper(coeffs)
 
 
-@settings(deadline=None)
-@given(st.dictionaries(walk_words, walk_coeffs, max_size=6), st.integers(1, 4))
-@example(  # b_1 - b_2
-    {
-        **{h: Fraction(1, 4) for h in sphere(1)},
-        **{h: Fraction(-1, 12) for h in sphere(2)},
-    },
-    5,
-)
-def test_bundle_norm_bound_matches_fiber_walk(coeffs, radius):
-    # the same free group terms on the whole unit space of each model give
-    # the same estimate, every field included
+def walk_twins(coeffs):
+    """The same free group terms on the whole unit space of each model."""
     twin_b = bstein([(0, h, c, WHOLE_SET) for h, c in coeffs.items()])
     twin_s = st_make([(s_from_group(h_elt(h)), c) for h, c in coeffs.items()])
-    via_bundle = bundle_norm_bound(twin_b, radius, 1e-9)
-    assert via_bundle == stein_H_norm_bound(twin_s, radius, 1e-9)
+    return twin_b, twin_s
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(walk_words, walk_coeffs, max_size=6),
+    st.dictionaries(walk_words, walk_coeffs, max_size=6),
+    st.integers(1, 4),
+)
+@example(  # b_1 - b_2
+    {h: Fraction(1, 4) for h in sphere(1)},
+    {h: Fraction(1, 12) for h in sphere(2)},
+    5,
+)
+def test_bundle_norm_bound_matches_fiber_walk(coeffs, others, radius):
+    # twin walks give the same estimate in both models, every field
+    # included, and signed parts give what their built difference gives
+    f_b, f_s = walk_twins(coeffs)
+    g_b, g_s = walk_twins(others)
+    via_bundle = bundle_norm_bound([(f_b, 1), (g_b, -1)], radius, 1e-9)
+    assert via_bundle == stein_H_norm_bound([(f_s, 1), (g_s, -1)], radius, 1e-9)
+    assert via_bundle == stein_H_norm_bound([(st_sub(f_s, g_s), 1)], radius, 1e-9)
 
 
 def test_norm_bound_reports_interior_columns():
     # at radius 6 every column of the b_6 - b_8 ball operator is boundary,
     # so its lower bound 0 is "no interior column", not a measured zero
-    est = stein_H_norm_bound(st_sub(st_bn(6), st_bn(8)), radius=6)
+    est = stein_H_norm_bound([(st_bn(6), 1), (st_bn(8), -1)], radius=6, tol=1e-9)
     assert est.interior_cols == 0 and est.lower == 0.0
-    est = stein_H_norm_bound(st_sub(st_bn(1), st_bn(2)), radius=6)
+    est = stein_H_norm_bound([(st_bn(1), 1), (st_bn(2), -1)], radius=6, tol=1e-9)
     assert est.interior_cols == len(ball(4))
     assert opnorm_lower(h_ball_operator({W_ONE: Fraction(1)}, 2)).interior_cols == 17
     assert repnorm._fiber_bound([Fraction(1)], [], 3, 1e-9).interior_cols is None
@@ -685,27 +698,29 @@ def test_bundle_norm_bound_builds_each_walk_once(monkeypatch):
         return h_ball_operator(coeffs, radius)
 
     monkeypatch.setattr(repnorm, "h_ball_operator", counting)
-    diff = bstein_sub(bundle_bn(1), bundle_bn(2))
+    diff = [(bundle_bn(1), 1), (bundle_bn(2), -1)]
     est = bundle_norm_bound(diff, radius=5, tol=1e-9)
     assert len(builds) == 1
-    via_fiber = stein_H_norm_bound(st_sub(st_bn(1), st_bn(2)), radius=5, tol=1e-9)
+    via_fiber = stein_H_norm_bound([(st_bn(1), 1), (st_bn(2), -1)], radius=5, tol=1e-9)
     assert (est.lower, est.upper) == (via_fiber.lower, via_fiber.upper)
     assert est.interior_cols == via_fiber.interior_cols == len(ball(3))
-    assert bundle_norm_bound(bundle_chiB(), radius=2).interior_cols is None
+    chi_only = bundle_norm_bound([(bundle_chiB(), 1)], radius=2, tol=1e-9)
+    assert chi_only.interior_cols is None
 
 
 def test_bundle_norm_bound_named_elements():
-    est = bundle_norm_bound(bundle_bn(1), radius=3)
+    est = bundle_norm_bound([(bundle_bn(1), 1)], radius=3, tol=1e-9)
     assert est.lower == pytest.approx(1.0)
     assert est.upper == pytest.approx(1.0)
-    est = bundle_norm_bound(bundle_chiB(), radius=2)
+    est = bundle_norm_bound([(bundle_chiB(), 1)], radius=2, tol=1e-9)
     assert (est.lower, est.upper) == (1.0, 1.0)
     # a*chiB lives on X u Y: 0 on x-fibers, where both bits meet, and the
     # sign character's 1 - (-1) = 2 on y-fibers; no walk is left
-    est = bundle_norm_bound(bstein_conv(bundle_a(), bundle_chiB()), radius=2)
+    a_chiB = bstein_conv(bundle_a(), bundle_chiB())
+    est = bundle_norm_bound([(a_chiB, 1)], radius=2, tol=1e-9)
     assert est == NormEstimate(2.0, 2.0, 0, 2, None)
     mixed = bstein_conv(bundle_a(), bundle_bn(1))
-    est = bundle_norm_bound(mixed, radius=4)
+    est = bundle_norm_bound([(mixed, 1)], radius=4, tol=1e-9)
     assert 0 < est.lower <= est.upper + 1e-12
 
 
@@ -749,6 +764,27 @@ def test_cauchy_profile_bundle_agrees():
     ]
     # b_n - b_m has coefficient sum 1 - 1, so pi_triv kills it
     assert all(r.pi_triv == 0 for r in bundle.rows)
+
+
+@pytest.mark.parametrize(
+    "example, module, builder",
+    [("selfsim", steinberg, "st_make"), ("bundle", bundle_module, "bstein")],
+)
+def test_cauchy_profile_builds_no_difference(monkeypatch, example, module, builder):
+    # each b_n and chi_B is built once; the norm bound takes b_n and b_m
+    # as signed parts, so no b_n - b_m is ever merged
+    calls = []
+    real = getattr(module, builder)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, builder, counting)
+    indices = (1, 2, 3, 4)
+    prof = cauchy_profile(indices, example=example, radius=4)
+    assert len(prof.rows) == 6
+    assert len(calls) == len(indices) + 1
 
 
 def test_cauchy_profile_validation_and_edges():
