@@ -27,10 +27,10 @@ from .bundle import (
     BSteinElt,
     B_ZERO,
     WHOLE_SET,
+    _fiber_sums,
     barrow,
     bstein,
     bstein_conv,
-    bstein_eval,
     bstein_scale,
     bstein_star,
     bundle_a,
@@ -103,10 +103,8 @@ OUT_DIR_ENV = "STEINALG_OUT_DIR"
 
 
 def _sample_free(rng: random.Random, gens: tuple[str, ...]) -> FreeWord:
-    chars = "".join(
-        rng.choice(gens + tuple(g.upper() for g in gens))
-        for _ in range(rng.randrange(4))
-    )
+    alphabet = gens + tuple(g.upper() for g in gens)
+    chars = "".join(rng.choice(alphabet) for _ in range(rng.randrange(4)))
     return free_word(chars)
 
 
@@ -169,19 +167,20 @@ def _check(checks: list, cid: str, ok: bool, detail: str) -> None:
 
 def _selfsim_identities(rng: random.Random, checks: list) -> None:
     a_g = GElt(f=free_word("a"))
+    a, tau_a = s_from_group(a_g), s_from_group(hom_tau(a_g))
+    # shifts[ch] moves the y-indices of channel ch, and of no other channel
+    shifts = {1: s_from_group(GElt(n=1)), 2: s_from_group(GElt(m=1))}
     bad = ""
     for n in range(-20, 21):
         for ch in (1, 2):
             y = s_from_word(finword(yl(ch, n)))
             if s_mul(S_ONE, y) != y or s_mul(y, S_ONE) != y:
                 bad = bad or f"1y=y1 fails at y{ch}[{n}]"
-            if s_mul(s_from_group(a_g), y) != s_mul(y, s_from_group(hom_tau(a_g))):
+            if s_mul(a, y) != s_mul(y, tau_a):
                 bad = bad or f"ay=y(1,0) fails at y{ch}[{n}]"
-            shift = GElt(n=1) if ch == 1 else GElt(m=1)
-            if s_mul(s_from_group(shift), y) != s_from_word(finword(yl(ch, n + 1))):
+            if s_mul(shifts[ch], y) != s_from_word(finword(yl(ch, n + 1))):
                 bad = bad or f"(1,0)y=y' fails at y{ch}[{n}]"
-            other = GElt(m=1) if ch == 1 else GElt(n=1)
-            if s_mul(s_from_group(other), y) != y:
+            if s_mul(shifts[3 - ch], y) != y:
                 bad = bad or f"cross-channel shift moves y{ch}[{n}]"
     for _ in range(50):
         k = _sample_kelt(rng)
@@ -204,8 +203,13 @@ def _selfsim_germ_law(rng: random.Random, checks: list) -> None:
     elems = [s_from_group(h_elt(h)) for h in sphere(1) + sphere(2)]
     words = [EPS] + [_sample_word(rng) for _ in range(20)]
     # germ_eq compares germ keys, so each (element, word) key and each
-    # word's membership in Y are computed once
-    keys = [[germ_key(s, w) for w in words] for s in elems]
+    # word's membership in Y are computed once; each key becomes an int,
+    # equal at one word exactly where the keys are
+    ids: list = [{} for _ in words]
+    keys = [
+        [seen.setdefault(germ_key(s, w), len(seen)) for seen, w in zip(ids, words)]
+        for s in elems
+    ]
     in_b = [region_member(REGION_B, w) for w in words]
     bad = ""
     pairs = 0
@@ -309,7 +313,9 @@ def _selfsim_witness(
     )
 
 
-def _selfsim_verdicts(abn: dict, rng: random.Random, checks: list) -> None:
+def _selfsim_verdicts(
+    a: SteinElt, abn: dict, rng: random.Random, checks: list
+) -> None:
     bad = ""
     for n, prod in abn.items():
         v = st_is_singular(prod)
@@ -323,7 +329,7 @@ def _selfsim_verdicts(abn: dict, rng: random.Random, checks: list) -> None:
         if alpha in seen:
             continue
         seen.add(alpha)
-        prod = st_conv(st_a(), st_chi_cylinder(alpha))
+        prod = st_conv(a, st_chi_cylinder(alpha))
         v = st_is_singular(prod)
         if not v.singular or not prod.terms:
             bad = bad or f"a*chi_U not singular and nonzero at U = [{alpha}]"
@@ -437,9 +443,7 @@ def _bundle_values(achib: BSteinElt, bn: dict, checks: list) -> None:
         (barrow(1, W_ONE, z), Fraction(0)),
         (barrow(0, W_ONE, U_EPS), Fraction(0)),
     ]
-    for arrow, want in table:
-        if bstein_eval(achib, arrow) != want:
-            bad = bad or f"(a*chiB)({arrow}) != {want}"
+    cases = [("(a*chiB)", achib, table)]
     for n, b in bn.items():
         size = sphere_size(n)
         h = sphere(n)[0]
@@ -451,9 +455,13 @@ def _bundle_values(achib: BSteinElt, bn: dict, checks: list) -> None:
             (barrow(0, h, U_EPS), Fraction(1, size)),
             (barrow(1, h, z), Fraction(0)),
         ]
-        for arrow, want in rows:
-            if bstein_eval(b, arrow) != want:
-                bad = bad or f"b{n}({arrow}) != {want}"
+        cases.append((f"b{n}", b, rows))
+    for name, f, rows in cases:
+        # one fold over the rows' units reads all of f's values
+        denom, tables = _fiber_sums([(f, 1)], [arrow.unit for arrow, _ in rows])
+        for (arrow, want), sums in zip(rows, tables):
+            if Fraction(sums.get((arrow.bit, arrow.h), 0), denom) != want:
+                bad = bad or f"{name}({arrow}) != {want}"
     _check(
         checks,
         "value-table",
@@ -656,18 +664,19 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
     rng = random.Random(seed)
     checks: list = []
     profile = cauchy_profile(indices, example, radius, tol) if indices else None
-    # the profile builds each b_n; a*chiB and each a*b_n are built once and
+    # the profile builds each b_n; a, a*chiB and each a*b_n are built once and
     # shared by the checks
     if example == "selfsim":
         _selfsim_identities(rng, checks)
         _selfsim_germ_law(rng, checks)
         if indices:
-            achib = st_conv(st_a(), st_chiB())
-            abn = {n: st_conv(st_a(), b) for n, b in profile.elements.items()}
+            a = st_a()
+            achib = st_conv(a, st_chiB())
+            abn = {n: st_conv(a, b) for n, b in profile.elements.items()}
             _selfsim_support(achib, checks)
             _selfsim_values(achib, abn, profile.limit_rows, rng, checks)
             _selfsim_witness(achib, abn, rng, checks)
-            _selfsim_verdicts(abn, rng, checks)
+            _selfsim_verdicts(a, abn, rng, checks)
             _selfsim_effectiveness(rng, checks)
     else:
         _bundle_identities(rng, checks)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 H_GENS = ("c", "d")
 F_GENS = ("a", "b")
+_H_SET = frozenset(H_GENS)
+_F_SET = frozenset(F_GENS)
 
 
 def _reduce(chars: str) -> str:
@@ -80,7 +82,7 @@ def _reduced(chars: str) -> FreeWord:
 
 def free_word(chars: str) -> FreeWord:
     """Reduce ``chars`` (lowercase gen, uppercase inverse) to a FreeWord."""
-    return FreeWord(_reduce(chars))
+    return _reduced(_reduce(chars))
 
 
 def free_mul(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -108,9 +110,9 @@ class GElt:
     m: int = 0
 
     def __post_init__(self) -> None:
-        if not self.h.gens() <= set(H_GENS):
+        if not self.h.gens() <= _H_SET:
             raise ValueError(f"h-part {self.h} not over {H_GENS}")
-        if not self.f.gens() <= set(F_GENS):
+        if not self.f.gens() <= _F_SET:
             raise ValueError(f"f-part {self.f} not over {F_GENS}")
 
     def __mul__(self, other: "GElt") -> "GElt":
@@ -164,9 +166,9 @@ class KElt:
     n: int = 0
 
     def __post_init__(self) -> None:
-        if not self.h.gens() <= set(H_GENS):
+        if not self.h.gens() <= _H_SET:
             raise ValueError(f"h-part {self.h} not over {H_GENS}")
-        if not self.f.gens() <= set(F_GENS):
+        if not self.f.gens() <= _F_SET:
             raise ValueError(f"f-part {self.f} not over {F_GENS}")
 
     def __mul__(self, other: "KElt") -> "KElt":

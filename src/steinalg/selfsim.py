@@ -34,6 +34,7 @@ from .groups import (
     _kelt,
     free_mul,
     group_inv,
+    group_mul,
     hom_pi,
     hom_tau,
     hom_zeta,
@@ -202,14 +203,14 @@ def _act_letters(g: GElt, letters: tuple) -> tuple[tuple, GElt]:
     """
     imgs = ()
     i = 0
-    while i < len(letters) and not g.is_identity():
+    while i < len(letters) and g is not G_ONE and not g.is_identity():
         x = letters[i]
         shift = g.n if x.channel == 1 else g.m
         if x.family == "y":
             imgs += (_letter("y", x.channel, x.index + shift) if shift else x,)
             f = g.f.chars
             sa, sb = f.count("a") - f.count("A"), f.count("b") - f.count("B")
-            g = _gelt(W_ONE, W_ONE, sa, sb)
+            g = _gelt(W_ONE, W_ONE, sa, sb) if sa or sb else G_ONE
         else:
             k = x.index
             img = _kelt(free_mul(g.h, k.h), free_mul(g.f, k.f), shift + k.n)
@@ -293,25 +294,40 @@ def s_proj(alpha: FinWord) -> SElt:
 
 
 def s_mul(s: SElt, t: SElt) -> SElt:
+    """Product of S-elements, on letter tuples.
+
+    When t's alpha extends s's beta, s acts on the rest of it and its
+    restriction there multiplies t.g; otherwise s's beta extends t's
+    alpha, and the rest of it is pulled back through t.g.  A trivial
+    factor skips the group product, and an empty image keeps the
+    factor's word.
+    """
     if s.zero or t.zero:
         return S_ZERO
-    b1, a2 = s.beta, t.alpha
-    if len(a2) >= len(b1):
-        if not a2.startswith(b1):
+    b1, a2 = s.beta.letters, t.alpha.letters
+    k = len(b1)
+    if len(a2) >= k:
+        if a2[:k] != b1:
             return S_ZERO
-        gamma = a2[len(b1):]
-        img, r = act_word(s.g, gamma)
-        return SElt(alpha=s.alpha + img, g=r * t.g, beta=t.beta)
-    if not b1.startswith(a2):
+        img, r = _act_letters(s.g, a2[k:])
+        alpha = FinWord(s.alpha.letters + img) if img else s.alpha
+        return SElt(alpha, _g_mul(r, t.g), t.beta)
+    k = len(a2)
+    if b1[:k] != a2:
         return S_ZERO
-    gamma = b1[len(a2):]
-    gamma_pre, r_inv = act_word(group_inv(t.g), gamma)
+    gamma_pre, r_inv = _act_letters(group_inv(t.g), b1[k:])
     # t.g restricted at gamma_pre is r_inv^{-1} (cocycle identity)
-    return SElt(
-        alpha=s.alpha,
-        g=s.g * group_inv(r_inv),
-        beta=t.beta + gamma_pre,
-    )
+    g = _g_mul(s.g, group_inv(r_inv))
+    return SElt(s.alpha, g, FinWord(t.beta.letters + gamma_pre))
+
+
+def _g_mul(g1: GElt, g2: GElt) -> GElt:
+    """g1 g2, or the other factor when one is trivial."""
+    if g1 is G_ONE or g1.is_identity():
+        return g2
+    if g2 is G_ONE or g2.is_identity():
+        return g1
+    return group_mul(g1, g2)
 
 
 def s_inv(s: SElt) -> SElt:
@@ -328,19 +344,21 @@ def s_apply(s: SElt, w: Word) -> Word:
     """Apply the partial map to a word in its domain."""
     if s.zero:
         raise ValueError("zero element has empty domain")
-    if not w.startswith(s.beta):
-        raise ValueError(f"word does not extend the source prefix {s.beta}")
+    beta = s.beta.letters
+    k = len(beta)
     if isinstance(w, FinWord):
-        img, _ = act_word(s.g, w[len(s.beta):])
-        return s.alpha + img
-    k = len(s.beta)
+        if w.letters[:k] != beta:
+            raise ValueError(f"word does not extend the source prefix {s.beta}")
+        img, _ = _act_letters(s.g, w.letters[k:])
+        return FinWord(s.alpha.letters + img)
     h = w.head.letters
     p = w.period.letters
     while len(h) < k:
         h = h + p
-    rest = OmegaWord(FinWord(h[k:]), w.period)
-    img = act_omega(s.g, rest)
-    return omega(s.alpha + img.head, img.period)
+    if h[:k] != beta:
+        raise ValueError(f"word does not extend the source prefix {s.beta}")
+    img = act_omega(s.g, OmegaWord(FinWord(h[k:]), w.period))
+    return omega(FinWord(s.alpha.letters + img.head.letters), img.period)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ from .selfsim import (
     Word,
     germ_key,
     omega,
-    s_defined_at,
     s_from_group,
     s_mul,
     s_proj,
@@ -185,7 +184,14 @@ def st_eval(f: SteinElt, g: Germ) -> Fraction:
     the base word with the same germ there."""
     if not region_member(f.region, g.word):
         return Fraction(0)
-    defined = [(s, c) for s, c in f.terms if s_defined_at(s, g.word)]
+    # one prefix of the word, as long as the longest beta, decides each term
+    longest = max((len(s.beta.letters) for s, _ in f.terms), default=0)
+    pre = g.word.prefix(longest).letters
+    defined = [
+        (s, c)
+        for s, c in f.terms
+        if not s.zero and s.beta.letters == pre[: len(s.beta.letters)]
+    ]
     elts = [g.s] + [s for s, _ in defined]
     lengths = {len(s.beta) for s in elts}
     b = lengths.pop() if len(lengths) == 1 else None
@@ -275,8 +281,9 @@ def _class_sums(parts: list) -> tuple:
     D is the lcm of the coefficients' denominators, and ``classes``
     lazily yields ``(pattern, rep_word, interior, sums)`` per word class.
     ``sums`` maps each germ key at ``rep_word`` to ``[numerator,
-    members]``: the terms defined there inside their own element's region
-    with that key, and the sum of their signed coefficients times D.
+    members]``: the positions, in the parts' terms taken in order, of the
+    terms defined there inside their own element's region with that key,
+    and the sum of their signed coefficients times D.
     ``_germ_keys`` keys the defined terms of each class, from images read
     off each term once per fold, and each region is tested once per class.
 
@@ -318,11 +325,11 @@ def _class_sums(parts: list) -> tuple:
         inside = [region_member(r, word) for r in regions]
         sums: dict = {}
         for t, key in zip(defined, keys):
-            s, num, i = terms[t]
+            _, num, i = terms[t]
             if inside[i]:
                 entry = sums.setdefault(key, [0, []])
                 entry[0] += num
-                entry[1].append(s)
+                entry[1].append(t)
         yield pattern, word, settled, sums
         if settled:
             return
@@ -350,13 +357,19 @@ def _class_sums(parts: list) -> tuple:
 def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
     """All nonzero germ-class strata of f, exact and exhaustive: each germ
     key of ``_class_sums([(f, 1)])`` with a nonzero sum is a stratum,
-    whose value is one exact ``Fraction``."""
+    whose value is one exact ``Fraction``.  Members are in
+    ``SElt.sort_key`` order: f's terms are ranked once, and each stratum
+    orders its members by that rank."""
+    elts = [s for s, _ in f.terms]
+    rank = [0] * len(elts)
+    for r, t in enumerate(sorted(range(len(elts)), key=lambda t: elts[t].sort_key())):
+        rank[t] = r
     denom, classes = _class_sums([(f, 1)])
     strata: list[SupportStratum] = []
     for pattern, rep, interior, sums in classes:
         for num, members in sums.values():
             if num:
-                ms = tuple(sorted(members, key=SElt.sort_key))
+                ms = tuple(elts[t] for t in sorted(members, key=rank.__getitem__))
                 value = Fraction(num, denom)
                 strata.append(SupportStratum(pattern, rep, ms[0], ms, value, interior))
     return tuple(strata)

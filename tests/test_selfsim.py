@@ -92,6 +92,25 @@ def oracle_germ_key(s, w):
     return ("inf", len(s.alpha) - len(s.beta), s_apply(s, w))
 
 
+def oracle_s_mul(s, t):
+    """The product on FinWords: slice, wrap and re-add the words, and
+    multiply by every restriction, trivial or not."""
+    if s.zero or t.zero:
+        return S_ZERO
+    b1, a2 = s.beta, t.alpha
+    if len(a2) >= len(b1):
+        if not a2.startswith(b1):
+            return S_ZERO
+        gamma = a2[len(b1):]
+        img, r = act_word(s.g, gamma)
+        return SElt(alpha=s.alpha + img, g=r * t.g, beta=t.beta)
+    if not b1.startswith(a2):
+        return S_ZERO
+    gamma = b1[len(a2):]
+    gamma_pre, r_inv = act_word(group_inv(t.g), gamma)
+    return SElt(alpha=s.alpha, g=s.g * group_inv(r_inv), beta=t.beta + gamma_pre)
+
+
 k_elts = st.builds(
     lambda h, f, n: KElt(free_word(h), free_word(f), n),
     st.sampled_from(["", "c", "D", "cd"]),
@@ -298,6 +317,50 @@ def test_group_translates_z_indices():
 # ---------------------------------------------------------------------------
 # inverse-semigroup laws
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def s_mul_cases(draw):
+    """A pair (s, t) for each way a product goes: t's alpha extends s's
+    beta, s's beta strictly extends t's alpha, the prefixes disagree, or
+    a factor is zero.  g runs over the identity, elements with h = f = 1
+    (trivial restriction past a y-letter) and general elements."""
+    elts = st.builds(SElt, fin_words, kinds_of_g, fin_words)
+    s, t = draw(elts), draw(elts)
+    case = draw(st.sampled_from(["alpha-extends", "beta-extends", "any", "zero"]))
+    if case == "alpha-extends":
+        t = SElt(s.beta + draw(fin_words), t.g, t.beta)
+    elif case == "beta-extends":
+        rest = FinWord(tuple(draw(st.lists(letters, min_size=1, max_size=3))))
+        s = SElt(s.alpha, s.g, t.alpha + rest)
+    elif case == "zero":
+        s, t = draw(st.sampled_from([(S_ZERO, t), (s, S_ZERO), (S_ZERO, S_ZERO)]))
+    return s, t
+
+
+@settings(max_examples=300)
+@given(s_mul_cases())
+def test_s_mul_matches_finword_oracle(case):
+    s, t = case
+    assert s_mul(s, t) == oracle_s_mul(s, t)
+
+
+def test_s_mul_frozen_cases_match_oracle():
+    y0, z0 = yl(1, 0), zl(2, K_ONE)
+    a, shift = A("a").g, GElt(W_ONE, W_ONE, 1, 0)
+    cases = [
+        # t's alpha extends s's beta: a y-letter leaves tau(a), a z-letter 1
+        (SElt(EPS, a, EPS), s_from_word(finword(y0))),
+        (SElt(EPS, a, EPS), s_from_word(finword(z0))),
+        # a trivial restriction past the letter: (1,1,1,0) shifts y0 only
+        (SElt(EPS, shift, EPS), s_from_word(finword(y0, z0))),
+        # s's beta extends t's alpha, with and without a restriction left
+        (s_proj(finword(y0, y0)), SElt(finword(y0), a, EPS)),
+        (s_proj(finword(z0, y0)), SElt(finword(z0), a, EPS)),
+        (S_ZERO, S_ONE),
+    ]
+    for s, t in cases:
+        assert s_mul(s, t) == oracle_s_mul(s, t)
 
 
 @settings(max_examples=200)

@@ -30,6 +30,7 @@ from steinalg.selfsim import (
     Letter,
     STABILIZATION_DEPTH,
     S_ONE,
+    S_ZERO,
     SElt,
     finword,
     germ_key,
@@ -484,6 +485,46 @@ def test_zero_element():
     assert st_conv(SteinElt(), st_a()) == SteinElt()
 
 
+def strata_as_set(f):
+    return {
+        (s.pattern, s.rep_word, s.members, s.value, s.interior)
+        for s in st_support_strata(f)
+    }
+
+
+def assert_members_sorted(f):
+    """Members and base of every stratum in ``SElt.sort_key`` order, and
+    the same strata whatever the order of f's terms."""
+    # built directly, so the terms stay in reversed order
+    backwards = SteinElt(f.terms[::-1], f.region)
+    for h in (f, backwards):
+        for s in st_support_strata(h):
+            assert s.members == tuple(sorted(s.members, key=SElt.sort_key))
+            assert s.base == s.members[0]
+    assert strata_as_set(backwards) == strata_as_set(f)
+    return st_support_strata(f)
+
+
+def test_strata_members_in_sort_key_order():
+    strata = assert_members_sorted(st_conv(st_a(), st_bn(2)))
+    assert max(len(s.members) for s in strata) > 1
+
+
+def test_strata_rank_each_term_once(monkeypatch):
+    f = st_conv(st_a(), st_bn(2))
+    calls = []
+    sort_key = SElt.sort_key
+
+    def counting(s):
+        calls.append(s)
+        return sort_key(s)
+
+    monkeypatch.setattr(SElt, "sort_key", counting)
+    strata = st_support_strata(f)
+    assert len(f.terms) == 48 and len(strata) == 152
+    assert len(calls) <= len(f.terms)
+
+
 def test_strata_rep_values_consistent():
     # every reported stratum value equals the evaluation at its representative
     for f in (a_chiB(), st_conv(st_a(), st_bn(1)), st_bn(2)):
@@ -666,12 +707,13 @@ stein_keyed = st.one_of(stein_any, stein_shared)
 @given(stein_keyed, stein_keyed, st.data())
 def test_image_keys_partition_terms_as_germ_key_does(f, g, data):
     # every class of the fold groups its terms as germ_key does
+    elts = [s for s, _ in f.terms + g.terms]
     for _, rep, _, sums in _class_sums([(f, 1), (g, -1)])[1]:
         blocks = {frozenset(members) for _, members in sums.values()}
         by_key = {}
         for _, members in sums.values():
-            for m in members:
-                by_key.setdefault(germ_key(m, rep), set()).add(m)
+            for t in members:
+                by_key.setdefault(germ_key(elts[t], rep), set()).add(t)
         assert blocks == {frozenset(b) for b in by_key.values()}
     # st_eval agrees with the term-by-term sum, also where the letters
     # past every beta are literals written in some term's alpha
@@ -689,6 +731,40 @@ def test_image_keys_partition_terms_as_germ_key_does(f, g, data):
             if s_defined_at(t, w):
                 gm = Germ(t, w)
                 assert st_eval(f, gm) == oracle_eval(f, gm)
+
+
+def test_eval_reads_terms_off_one_prefix():
+    # a zero term, betas of lengths 0 to 2, and omega words whose heads
+    # are shorter than the longest beta
+    y0, y1 = yl(1, 0), yl(1, 1)
+    f = SteinElt(
+        (
+            (S_ZERO, Fraction(5)),
+            (S_ONE, Fraction(1)),
+            (s_proj(finword(y0)), Fraction(2)),
+            (s_proj(finword(y0, y1)), Fraction(3)),
+            (SElt(finword(y1), GElt(n=1), finword(y0, y0)), Fraction(7)),
+        )
+    )
+    words = (
+        EPS,
+        finword(y0),
+        finword(y0, y1),
+        omega(EPS, finword(y0, y1)),
+        omega(EPS, finword(y0)),
+        omega(finword(y1), finword(y0)),
+    )
+    for w in words:
+        for s, _ in f.terms:
+            if s_defined_at(s, w):
+                gm = Germ(s, w)
+                assert st_eval(f, gm) == oracle_eval(f, gm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stein_keyed)
+def test_strata_members_in_sort_key_order_for_any_term_order(f):
+    assert_members_sorted(f)
 
 
 def counting_germ_key(monkeypatch):
