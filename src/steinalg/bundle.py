@@ -20,8 +20,7 @@ denominators once and sums integer numerators per fiber arrow.
 ``repnorm.bundle_norm_bound`` read that fold at one unit per stratum of
 ``stratum_units`` (the strata are where every involved function has a
 constant table); evaluation, ``bstein_eval``, reads it at the unit of
-one arrow, and ``verify``'s value table at the units of all the arrows
-it reads of one function.
+one arrow.
 Everything here is exact: coefficients are fractions.
 """
 

@@ -203,7 +203,7 @@ def _act_letters(g: GElt, letters: tuple) -> tuple[tuple, GElt]:
     """
     imgs = ()
     i = 0
-    while i < len(letters) and g is not G_ONE and not g.is_identity():
+    while i < len(letters) and not g.is_identity():
         x = letters[i]
         shift = g.n if x.channel == 1 else g.m
         if x.family == "y":
@@ -323,9 +323,9 @@ def s_mul(s: SElt, t: SElt) -> SElt:
 
 def _g_mul(g1: GElt, g2: GElt) -> GElt:
     """g1 g2, or the other factor when one is trivial."""
-    if g1 is G_ONE or g1.is_identity():
+    if g1.is_identity():
         return g2
-    if g2 is G_ONE or g2.is_identity():
+    if g2.is_identity():
         return g1
     return group_mul(g1, g2)
 

@@ -7,7 +7,7 @@ relation must agree with both everywhere.
 """
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from steinalg.groups import (
     FreeWord,
@@ -338,29 +338,24 @@ def s_mul_cases(draw):
     return s, t
 
 
+_Y0, _Z0 = yl(1, 0), zl(2, K_ONE)
+_A, _SHIFT = A("a").g, GElt(W_ONE, W_ONE, 1, 0)
+
+
 @settings(max_examples=300)
 @given(s_mul_cases())
+# t's alpha extends s's beta: a y-letter leaves tau(a), a z-letter 1
+@example((SElt(EPS, _A, EPS), s_from_word(finword(_Y0))))
+@example((SElt(EPS, _A, EPS), s_from_word(finword(_Z0))))
+# a trivial restriction past the letter: (1,1,1,0) shifts y0 only
+@example((SElt(EPS, _SHIFT, EPS), s_from_word(finword(_Y0, _Z0))))
+# s's beta extends t's alpha, with and without a restriction left
+@example((s_proj(finword(_Y0, _Y0)), SElt(finword(_Y0), _A, EPS)))
+@example((s_proj(finword(_Z0, _Y0)), SElt(finword(_Z0), _A, EPS)))
+@example((S_ZERO, S_ONE))
 def test_s_mul_matches_finword_oracle(case):
     s, t = case
     assert s_mul(s, t) == oracle_s_mul(s, t)
-
-
-def test_s_mul_frozen_cases_match_oracle():
-    y0, z0 = yl(1, 0), zl(2, K_ONE)
-    a, shift = A("a").g, GElt(W_ONE, W_ONE, 1, 0)
-    cases = [
-        # t's alpha extends s's beta: a y-letter leaves tau(a), a z-letter 1
-        (SElt(EPS, a, EPS), s_from_word(finword(y0))),
-        (SElt(EPS, a, EPS), s_from_word(finword(z0))),
-        # a trivial restriction past the letter: (1,1,1,0) shifts y0 only
-        (SElt(EPS, shift, EPS), s_from_word(finword(y0, z0))),
-        # s's beta extends t's alpha, with and without a restriction left
-        (s_proj(finword(y0, y0)), SElt(finword(y0), a, EPS)),
-        (s_proj(finword(z0, y0)), SElt(finword(z0), a, EPS)),
-        (S_ZERO, S_ONE),
-    ]
-    for s, t in cases:
-        assert s_mul(s, t) == oracle_s_mul(s, t)
 
 
 @settings(max_examples=200)
