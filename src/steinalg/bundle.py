@@ -307,13 +307,15 @@ def _fiber_sums(parts: list, units: list) -> tuple:
     (0, W_ONE) over x, (bit, W_ONE) over y and (bit, h) over z and eps.
     """
     denom = lcm(*(t[2].denominator for f, _ in parts for t in f.terms))
-    # arrows are numbered once, so the per-unit sums hash small integers
+    # arrows and regions are numbered once, so the per-unit sums hash small
+    # integers and each distinct region is tested once per unit
     arrows = {(0, W_ONE): 0, (1, W_ONE): 1}
+    regions: dict[BUnitSet, int] = {}
     terms = [
         (
             sign * c.numerator * (denom // c.denominator),
             _FLAG_KINDS[f.flag],
-            region,
+            regions.setdefault(region, len(regions)),
             (0, bit, arrows.setdefault((bit, h), len(arrows))),
         )
         for f, sign in parts
@@ -324,9 +326,10 @@ def _fiber_sums(parts: list, units: list) -> tuple:
     def tables():
         for u in units:
             slot = _KEY_SLOT[u.kind]
+            inside = [buset_member(r, u) for r in regions]
             acc: dict[int, int] = {}
-            for num, kinds, region, at in terms:
-                if u.kind in kinds and buset_member(region, u):
+            for num, kinds, r, at in terms:
+                if inside[r] and u.kind in kinds:
                     i = at[slot]
                     acc[i] = acc.get(i, 0) + num
             yield {keys[i]: v for i, v in acc.items() if v}

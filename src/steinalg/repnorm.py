@@ -27,17 +27,19 @@ boundary column and excluded from the certified iteration.
 A ball operator is built on integer indices, never on words.  For each
 radius one table per letter x gives the ball index of x * w for every
 ball word w, or a sentinel when x * w leaves the ball; the tables are
-made on first use and kept.  They are computed from the index layout of
-the ball, one block of ball indices per sphere and first letter, and no
-word is built for them.  The images h * w of all columns are index
-gathers through the tables of h's letters, right to left.  Along the
-tree geodesic w, x_k w, ..., h w the word length falls and then rises,
-so the gathers stay in the ball exactly when both ends do.  One pass
-over the coefficient words drops every column whose image leaves the
-ball; a second gathers the images of the interior columns that remain.
-The entries are sorted into (row, col) order, and the iteration runs on
-numpy arrays of the interior entries: A v and A^T u are ``np.bincount``
-sums over them, in that order.
+made on first use and kept, with an identity row beside them.  They are
+computed from the index layout of the ball, one block of ball indices
+per sphere and first letter, and no word is built for them.  The
+coefficient words become one matrix of letter codes, checked once, and
+the images h * w of all columns are gathered through the tables one
+letter position at a time, right to left, in one whole-array gather per
+position.  Along the tree geodesic w, x_k w, ..., h w the word length
+falls and then rises, so the gathers stay in the ball exactly when both
+ends do, and a column is dropped at the first position where an image
+leaves it.  Words that share a suffix share its gathers.  The entries
+are sorted into (row, col) order, and the iteration runs on numpy
+arrays of the interior entries: A v and A^T u are ``np.bincount`` sums
+over them, in that order.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
+from operator import methodcaller
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 # OpenBLAS's worker threads spin for about 0.1 s of CPU after numpy
@@ -65,7 +69,7 @@ from .bundle import (
     bundle_sup_dist,
     stratum_units,
 )
-from .groups import FreeWord, H_GENS, W_ONE, sphere, sphere_size
+from .groups import FreeWord, H_GENS, W_ONE, sphere_size
 from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sup_dist
 
 
@@ -102,8 +106,9 @@ class SparseOperator:
         """Rows, columns and float values of the entries outside boundary
         columns, in entry order; each coefficient is converted once."""
         vals = np.array([float(c) for c in self.coeffs], dtype=float)
+        boundary = np.fromiter(self.boundary_cols, np.intp, len(self.boundary_cols))
         inside = np.ones(self.shape[1], dtype=bool)
-        inside[list(self.boundary_cols)] = False
+        inside[boundary] = False
         keep = inside[self.cols]
         return self.rows[keep], self.cols[keep], vals[self.coeff_index[keep]]
 
@@ -180,14 +185,23 @@ def opnorm_lower(op: SparseOperator, tol: float = 1e-9) -> NormEstimate:
     return NormEstimate(sigma, None, iters, None, interior)
 
 
+# the letters in the ball's order C, D, c, d, whose ranks index the rows
+# of the letter tables, then the identity row that pads short words
+_LETTERS = frozenset("CDcd")
+_PAD, _PAD_CHAR = 4, "."
+_LETTER_CODES = bytes.maketrans(b"CDcd.", bytes(range(_PAD + 1)))
+
+
 @functools.lru_cache(maxsize=None)
-def _step_tables(radius: int) -> dict[str, np.ndarray]:
+def _step_tables(radius: int) -> np.ndarray:
     """Left multiplication by each letter on the radius-``radius`` ball.
 
-    ``step[x][i]`` is the index of x * ball(radius)[i], or the sentinel
-    len(ball(radius)) when that word leaves the ball; the sentinel maps
-    to itself, so a gather through several tables keeps it.  Built once
-    per radius, on first use, and read-only.
+    ``step[r][i]`` is the index of x * ball(radius)[i] for the letter x of
+    rank r in C, D, c, d, or the sentinel len(ball(radius)) when that word
+    leaves the ball; the sentinel maps to itself, so a gather through
+    several rows keeps it.  Row ``_PAD`` is the identity, which pads
+    short words in ``h_ball_operator``.  Built once per radius, on first
+    use, and read-only.
 
     The tables come from the index layout of the ball alone; no word is
     built.  ``ball`` sorts by length, then by ASCII, so the letters rank
@@ -195,26 +209,27 @@ def _step_tables(radius: int) -> dict[str, np.ndarray]:
     at index 2 * 3^k - 1 and holds one block of 3^k words per first
     letter, in rank order.  The words of sphere k that do not start with
     the inverse of x, taken in order, are the tails of block x of sphere
-    k + 1, so x maps them onto that block and its inverse maps it back.
-    Every other entry is a product that leaves the ball and keeps the
-    sentinel.
+    k + 1, so x maps them onto that block and its inverse maps it back;
+    all four letters are written at once, one sphere at a time.  Every
+    other entry is a product that leaves the ball and keeps the sentinel.
     """
-    letters = "CDcd"
     size = 2 * 3**radius - 1
-    steps = np.full((4, size + 1), size, dtype=np.intp)
-    sphere_k = np.arange(1)  # sphere 0: the empty word
+    steps = np.full((_PAD + 1, size + 1), size, dtype=np.intp)
+    steps[_PAD] = np.arange(size + 1)
+    flat = steps.reshape(-1)
+    at = np.arange(4)[:, None] * (size + 1)  # where each letter's row starts
+    inverse = at[[2, 3, 0, 1]]
+    # the blocks of sphere k + 1 that a letter may precede: all but its inverse
+    others = np.array([[j for j in range(4) if j != r ^ 2] for r in range(4)])
+    tails = np.zeros((4, 1), dtype=np.intp)  # sphere 0, the empty word, per letter
     for k in range(radius):
         block = 3**k
-        start = 2 * block - 1
-        prev = block // 3  # sphere k's block size; at k = 0 nothing is dropped
-        for r in range(4):
-            tails = np.delete(sphere_k, slice((r ^ 2) * prev, ((r ^ 2) + 1) * prev))
-            words = np.arange(start + r * block, start + (r + 1) * block)
-            steps[r, tails] = words
-            steps[r ^ 2, words] = tails
-        sphere_k = np.arange(start, start + 4 * block)
+        words = np.arange(2 * block - 1, 6 * block - 1).reshape(4, block)
+        flat[at + tails] = words
+        flat[inverse + words] = tails
+        tails = words[others].reshape(4, 3 * block)
     steps.flags.writeable = False
-    return dict(zip(letters, steps))
+    return steps
 
 
 def h_ball_operator(
@@ -226,52 +241,98 @@ def h_ball_operator(
     Columns with some product landing outside the ball are flagged as
     boundary and carry no entries.  Interior columns hold every product,
     one entry per word (distinct words give distinct rows).  Words over
-    other letters raise ``ValueError``.
+    other letters raise ``ValueError``, whatever their coefficient; the
+    letters of all words are checked at once, before any table is read.
 
-    The images h * w of all columns w come from index gathers through
-    the letter tables of ``_step_tables``, right to left along h.  The
-    words w, x_k w, ..., h w form a geodesic of the Cayley tree, so their
-    lengths fall and then rise: every intermediate word lies in the ball
-    whenever w and h w do, and the gathers reach the sentinel exactly
-    when h w leaves the ball.  A first pass narrows the columns word by
-    word, keeping those whose image is not the sentinel; what is left is
-    the interior, and the second pass gathers the images of those columns
-    only, so no image of the whole ball is kept per word.  Entries are
-    put in (row, col) order with one lexsort, the order of
-    ``interior_arrays`` and of the bincount sums of the iteration.
+    Coefficients get one slot per distinct nonzero value, in order of
+    first appearance, so each becomes a float only once; values are told
+    apart by numerator and denominator, which hash as plain integers.
+
+    The words of the nonzero terms become a matrix of letter codes, one
+    row per term, right-aligned and padded on the left with the identity
+    row of ``_step_tables``.  The images h * w of the columns w are
+    gathered through the tables one letter position at a time, right to
+    left, in one flat gather per position.  The words w, x_k w, ..., h w
+    form a geodesic of the Cayley tree, so their lengths fall and then
+    rise: every intermediate word lies in the ball whenever w and h w
+    do, and the gathers reach the sentinel exactly when h w leaves the
+    ball.  So after each position the columns with a sentinel image are
+    dropped; those left at the end are the interior, and their images
+    are the rows.  The terms are sorted by their suffixes, so the terms
+    that share the suffix from a position on form a run, and a position
+    gathers once per run: at the last letter, through at most four
+    single-letter tables over the whole ball, after which the columns
+    are already narrowed.  Entries are put in (row, col) order with one
+    sort of the distinct cells, the order of ``interior_arrays`` and of
+    the bincount sums of the iteration.
     """
-    for h in coeffs:
-        if not isinstance(h, FreeWord) or not h.gens() <= set(H_GENS):
-            raise ValueError(f"coefficient words must be over {H_GENS}")
+    words = list(coeffs)
+    if not all(map(isinstance, words, repeat(FreeWord))):
+        raise ValueError(f"coefficient words must be over {H_GENS}")
+    chars = [h.chars for h in words]
+    if not _LETTERS.issuperset("".join(chars)):
+        raise ValueError(f"coefficient words must be over {H_GENS}")
     steps = _step_tables(radius)
-    size = len(steps["c"]) - 1
+    size = steps.shape[1] - 1
 
-    def image(h: FreeWord, cols: np.ndarray) -> np.ndarray:
-        for x in reversed(h.chars):
-            cols = steps[x][cols]
-        return cols
+    # one slot per distinct nonzero coefficient, keyed by (numerator,
+    # denominator) at the position where it first appears; zero is (0, 1)
+    values = list(coeffs.values())
+    first: dict[tuple[int, int], int] = {}
+    ratios = map(methodcaller("as_integer_ratio"), values)
+    seen = list(map(first.setdefault, ratios, count()))
+    zero = first.pop((0, 1), -1)
+    slot = {k: s for s, k in enumerate(first.values())}
+    slots = np.array([slot[k] for k in seen if k != zero], dtype=np.intp)
+    kept = [w for w, k in zip(chars, seen) if k != zero]
+    terms, width = len(kept), max(map(len, kept), default=0)
+    padded = "".join(map(str.rjust, kept, repeat(width), repeat(_PAD_CHAR)))
+    codes = padded.encode().translate(_LETTER_CODES)
+    codes = np.fromiter(codes, np.intp, len(codes)).reshape(terms, width)
 
-    # one slot per distinct coefficient, so each becomes a float only once
-    slot: dict[Fraction, int] = {}
-    terms = [(h, slot.setdefault(c, len(slot))) for h, c in coeffs.items() if c != 0]
-    interior = np.arange(size)
-    for h, _ in terms:
-        interior = interior[image(h, interior) != size]
-    rows = np.empty((len(terms), len(interior)), dtype=np.intp)
-    for k, (h, _) in enumerate(terms):
-        rows[k] = image(h, interior)
-    rows = rows.ravel()
-    cols = np.tile(interior, len(terms))
-    slots = np.array([s for _, s in terms], dtype=np.intp)
-    coeff_index = np.repeat(slots, len(interior))
-    order = np.lexsort((cols, rows))
+    # Sorted by suffix, the terms that share their letters from position p
+    # on form a run.  Terms k and k + 1 differ last at position last[k],
+    # so k + 1 opens a run at every p <= last[k].  Row p of ``opens`` marks
+    # the first term of each run at p, and row ``width`` the one run of the
+    # empty suffix.  Runs are numbered position by position: run[p * terms
+    # + k] is term k's run at p, bounds[p] the first run at p, and each run
+    # left of ``width`` extends run ``parents`` one position to its right.
+    order = np.lexsort(codes.T) if width else np.arange(terms)
+    codes = codes[order]
+    pairs, at = np.nonzero(codes[1:] != codes[:-1])
+    last = at[np.concatenate((pairs[1:], [terms])) != pairs]
+    opens = np.ones((width + 1, terms), dtype=bool)
+    opens[:, 1:] = last >= np.arange(width + 1)[:, None]
+    at, firsts = np.nonzero(opens)
+    key = at * terms + firsts
+    lengths = np.concatenate((key[1:], [opens.size])) - key
+    run = np.repeat(np.arange(len(key)), lengths)
+    bounds = np.nonzero(firsts == 0)[0].tolist() + [len(key)]
+    inner = slice(0, bounds[width])
+    parents = run[key[inner] + terms]
+    offsets = codes[firsts[inner], at[inner], None] * (size + 1)
+    flat = steps.ravel()
+    cols = np.arange(size)
+    images = cols[None]  # one row per run, here the empty suffix's
+    for p in range(width - 1, -1, -1):
+        level = slice(bounds[p], bounds[p + 1])
+        images = flat[images[parents[level] - bounds[p + 1]] + offsets[level]]
+        inside = images.max(axis=0) < size
+        cols = cols[inside]
+        images = images.compress(inside, axis=1)
+
+    rows = images[run[:terms]]
+    cells = np.lexsort(((rows * size + cols).ravel(),))
+    term, col = np.divmod(cells, len(cols))
+    boundary = np.ones(size, dtype=bool)
+    boundary[cols] = False
     return SparseOperator(
         (size, size),
-        rows[order],
-        cols[order],
-        coeff_index[order],
-        tuple(slot),
-        frozenset(range(size)).difference(interior.tolist()),
+        rows.ravel()[cells],
+        cols[col],
+        slots[order][term],
+        tuple(map(values.__getitem__, first.values())),
+        frozenset(np.flatnonzero(boundary).tolist()),
     )
 
 
@@ -307,6 +368,22 @@ def _radial_sphere1_sigma(radius: int, tol: float):
     return _power_lower(mat.shape, *nz, mat[nz], tol)
 
 
+def _is_sphere(ks: tuple, n: int) -> bool:
+    """Whether the steps ``ks`` are the words of S_n, in some order.
+
+    A ``FreeWord`` is reduced, so ``sphere_size(n)`` distinct words of
+    length n over c, d are all of S_n; the check reads their letter
+    strings and builds no sphere and no word hash."""
+    if len(ks) != sphere_size(n) or not all(map(isinstance, ks, repeat(FreeWord))):
+        return False
+    chars = {h.chars for h in ks}
+    return (
+        len(chars) == len(ks)
+        and {len(w) for w in chars} == {n}
+        and _LETTERS.issuperset("".join(chars))
+    )
+
+
 def rho_estimate(
     K: Sequence[FreeWord], radius: int, tol: float = 1e-9
 ) -> NormEstimate:
@@ -321,7 +398,7 @@ def rho_estimate(
     """
     ks = tuple(K)
     n = len(ks[0].chars) if ks and isinstance(ks[0], FreeWord) else 0
-    if n < 1 or len(ks) != sphere_size(n) or set(ks) != set(sphere(n)):
+    if n < 1 or not _is_sphere(ks, n):
         raise ValueError("K must be a whole sphere S_n with n >= 1")
     if radius < 1:
         raise ValueError("truncation radius must be positive")

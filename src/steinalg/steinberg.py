@@ -297,11 +297,14 @@ def _class_sums(parts: list) -> tuple:
     the keys of the finite one, and the walk stops.  Every node at depth
     L = max |beta| + ``STABILIZATION_DEPTH`` is settled.
     """
-    signed = [(s, sign * c, i) for i, (f, sign) in enumerate(parts) for s, c in f.terms]
-    if not signed:
+    denom = lcm(*(c.denominator for f, _ in parts for _, c in f.terms))
+    terms = [
+        (s, sign * c.numerator * (denom // c.denominator), i)
+        for i, (f, sign) in enumerate(parts)
+        for s, c in f.terms
+    ]
+    if not terms:
         return 1, iter(())
-    denom = lcm(*(c.denominator for _, c, _ in signed))
-    terms = [(s, c.numerator * (denom // c.denominator), i) for s, c, i in signed]
     elts = [s for s, _, _ in terms]
     images = _key_images(elts)
     betas = [s.beta.letters for s in elts]

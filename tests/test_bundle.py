@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from steinalg import bundle as bundle_module
 from steinalg.groups import W_ONE, free_word, sphere
 from steinalg.bundle import (
     B_ZERO,
@@ -428,6 +429,26 @@ def test_fiber_sums_equal_oracle_differences(f, g):
         }
         got = {k: Fraction(v, denom) for k, v in table.items()}
         assert got == {k: v for k, v in diffs.items() if v}
+
+
+def test_fiber_sums_test_each_region_once_per_unit(monkeypatch):
+    # the b_n share one region, a*b_2 holds a few; membership is asked
+    # once per distinct region and unit, never once per term
+    calls = []
+    member = bundle_module.buset_member
+    monkeypatch.setattr(
+        bundle_module, "buset_member", lambda U, u: calls.append(U) or member(U, u)
+    )
+    for parts in (
+        [(bundle_bn(3), 1), (bundle_bn(2), -1)],
+        [(bstein_conv(bundle_a(), bundle_bn(2)), 1)],
+    ):
+        terms = [t for f, _ in parts for t in f.terms]
+        regions = {t[3] for t in terms}
+        units = stratum_units(tuple(f for f, _ in parts))
+        calls.clear()
+        list(_fiber_sums(parts, units)[1])
+        assert len(calls) == len(units) * len(regions) < len(units) * len(terms)
 
 
 def test_bstein_merges_mixed_coefficients():

@@ -371,6 +371,22 @@ def test_scatter_fails_on_a_lower_bound_above_the_upper(monkeypatch):
     assert status["lower-below-upper"] == "fail"
 
 
+def test_scatter_fails_on_upper_bounds_that_do_not_decrease(monkeypatch):
+    # the same run passes with Haagerup's bounds and fails when they are flat
+    res = run("scatter", "--indices", "1,2", "--radius", "3")
+    assert res.exit_code == 0
+    status = {c["id"]: c["status"] for c in json.loads(res.stdout)["checks"]}
+    assert status["upper-strictly-decreasing"] == "pass"
+    monkeypatch.setattr(repnorm, "haagerup_bound", lambda n: 1.0)
+    res = run("scatter", "--indices", "1,2", "--radius", "3")
+    assert res.exit_code == 1
+    report = json.loads(res.stdout)
+    assert [r["upper"] for r in report["rows"]] == [1.0, 1.0]
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    assert status["upper-strictly-decreasing"] == "fail"
+    assert status["lower-below-upper"] == "pass"
+
+
 def test_scatter_sorts_and_deduplicates_the_index_list():
     # the rows follow the index set, not the order it was typed in
     want = run("scatter", "--indices", "1,2", "--radius", "3")

@@ -34,7 +34,7 @@ from steinalg.bundle import (
     bundle_chiB,
     bstein_conv,
 )
-from steinalg.groups import W_ONE, ball, free_word, sphere
+from steinalg.groups import FreeWord, W_ONE, ball, free_word, sphere
 from steinalg.repnorm import (
     LimitRow,
     NormEstimate,
@@ -440,15 +440,17 @@ def oracle_step_tables(radius: int) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("radius", range(9))
 def test_step_tables_match_word_oracle(radius):
+    # one row per letter in the ball's order C, D, c, d, then the identity
     steps = repnorm._step_tables(radius)
     want = oracle_step_tables(radius)
     size = len(ball(radius))
-    assert set(steps) == set(want)
-    for x, table in steps.items():
-        assert table.dtype == np.intp
-        assert np.array_equal(table, want[x])
-        assert table[size] == size
-        assert not table.flags.writeable
+    assert steps.dtype == np.intp
+    assert steps.shape == (5, size + 1)
+    assert not steps.flags.writeable
+    for rank, x in enumerate("CDcd"):
+        assert np.array_equal(steps[rank], want[x])
+        assert steps[rank, size] == size
+    assert np.array_equal(steps[4], np.arange(size + 1))
 
 
 def oracle_ball_operator(coeffs, radius) -> SparseOperator:
@@ -492,6 +494,17 @@ walk_coeffs = st.sampled_from(
 @example({W_ONE: Fraction(1, 4), free_word("cd"): Fraction(0)}, 2)
 @example({h: Fraction(1, 12) for h in sphere(2)}, 1)
 @example({free_word("cdcdcdcd"): Fraction(1), free_word("DC"): Fraction(1)}, 4)
+@example(  # the identity beside long words: rows of different widths
+    {W_ONE: Fraction(1, 4), free_word("cd"): Fraction(-1, 3),
+     free_word("cdcdcdcd"): Fraction(1, 4)},
+    5,
+)
+@example(  # a signed S_1 u S_3 walk, as a difference of sphere averages
+    {**{h: Fraction(1, 4) for h in sphere(1)},
+     **{h: Fraction(-1, 36) for h in sphere(3)}},
+    6,
+)
+@example({free_word("cdcdcdcd"): Fraction(2, 7)}, 3)  # every column is boundary
 def test_ball_operator_matches_column_loop(coeffs, radius):
     op = h_ball_operator(coeffs, radius)
     want = oracle_ball_operator(coeffs, radius)
@@ -499,12 +512,18 @@ def test_ball_operator_matches_column_loop(coeffs, radius):
     assert op.entries == want.entries
     assert op.boundary_cols == want.boundary_cols
     assert opnorm_lower(op) == opnorm_lower(want)
+    # one slot per distinct nonzero coefficient, in order of first appearance
+    assert op.coeffs == tuple(dict.fromkeys(c for c in coeffs.values() if c != 0))
 
 
 def test_ball_operator_rejects_foreign_letters():
-    for h in (free_word("a"), free_word("cB")):
-        with pytest.raises(ValueError):
-            h_ball_operator({h: Fraction(1)}, 3)
+    # any letter other than c, d and their inverses, whatever its coefficient
+    foreign = [free_word("a"), free_word("cB"), FreeWord("x"), FreeWord("c."),
+               FreeWord("\u00e9"), FreeWord("\ud800")]
+    for h in foreign:
+        for c in (Fraction(1), Fraction(0)):
+            with pytest.raises(ValueError):
+                h_ball_operator({free_word("cd"): Fraction(1, 2), h: c}, 3)
     with pytest.raises(ValueError):
         h_ball_operator({"c": Fraction(1)}, 3)
 
@@ -521,15 +540,18 @@ def test_rho_validation():
         (c, C, c, C),
         sphere(2)[1:] + sphere(2)[:1] * 2,  # one word repeated, one missing
         sphere(2) + sphere(2)[:1],  # one word repeated
+        sphere(1)[:3] + ("c",),  # a step that is not a FreeWord
+        (c, C, free_word("d"), 1),
     ]
     for K in not_spheres:
         with pytest.raises(ValueError):
             rho_estimate(K, radius=3)
     with pytest.raises(ValueError):
         rho_estimate(sphere(1), radius=0)
-    # the order of the steps does not matter
+    # the order of the steps, and the container, do not matter
     reversed_two = rho_estimate(sphere(2)[::-1], radius=4)
     assert reversed_two == rho_estimate(sphere(2), radius=4)
+    assert rho_estimate(list(sphere(2)), radius=4) == reversed_two
 
 
 def test_rho_sphere_one_matches_generic_truncation():
