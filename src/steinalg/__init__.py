@@ -34,7 +34,6 @@ from .repnorm import cauchy_profile, haagerup_bound, rho_estimate, stein_H_norm_
 from .selfsim import (
     effectiveness_witness,
     finword,
-    germ_eq,
     omega,
     strongly_fixed_spectrum,
     yl,
@@ -72,7 +71,6 @@ __all__ = [
     "effectiveness_witness",
     "finword",
     "free_word",
-    "germ_eq",
     "haagerup_bound",
     "hom_pi",
     "hom_tau",

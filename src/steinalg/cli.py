@@ -86,10 +86,10 @@ from .steinberg import (
     st_chiB,
     st_chi_cylinder,
     st_conv,
-    st_eval,
+    st_evaluator,
     st_is_singular,
     st_open_witness,
-    st_sup_dist,
+    st_singular_and_dist,
 )
 from .syntax import ParseError, parse_buset, parse_selt
 
@@ -202,7 +202,7 @@ def _selfsim_identities(rng: random.Random, checks: list) -> None:
 def _selfsim_germ_law(rng: random.Random, checks: list) -> None:
     elems = [s_from_group(h_elt(h)) for h in sphere(1) + sphere(2)]
     words = [EPS] + [_sample_word(rng) for _ in range(20)]
-    # germ_eq compares germ keys, so each (element, word) key and each
+    # the germ law compares germ keys, so each (element, word) key and each
     # word's membership in Y are computed once; each key becomes an int,
     # equal at one word exactly where the keys are
     ids: list = [{} for _ in words]
@@ -250,31 +250,33 @@ def _selfsim_support(achib: SteinElt, checks: list) -> None:
 
 
 def _selfsim_values(
-    achib: SteinElt, abn: dict, limit_rows: tuple, rng: random.Random, checks: list
+    achib_at, abn_at: dict, folded: dict, limit_rows: tuple, rng: random.Random,
+    checks: list,
 ) -> None:
     bad = ""
     for ch in (1, 2):
         yw = finword(yl(ch, rng.randrange(-5, 6)))
-        if st_eval(achib, Germ(S_ONE, yw)) != 1:
+        if achib_at(Germ(S_ONE, yw)) != 1:
             bad = bad or f"(a*chiB)[1, y{ch}] != 1"
-        if st_eval(achib, Germ(s_from_group(GElt(f=free_word("a"))), yw)) != -1:
+        if achib_at(Germ(s_from_group(GElt(f=free_word("a"))), yw)) != -1:
             bad = bad or f"(a*chiB)[a, y{ch}] != -1"
     zw = finword(zl(1, K_ONE))
-    if st_eval(achib, Germ(S_ONE, zw)) != 0:
+    if achib_at(Germ(S_ONE, zw)) != 0:
         bad = bad or "(a*chiB)[1, z] != 0"
     # sup|b_n - chiB| is read off the Cauchy profile's limit rows
     for row in limit_rows:
         n = row.n
         size = sphere_size(n)
         h = s_from_group(h_elt(rng.choice(sphere(n))))
-        if st_eval(abn[n], Germ(h, zw)) != Fraction(1, size):
+        if abn_at[n](Germ(h, zw)) != Fraction(1, size):
             bad = bad or f"(a*b{n})[h, z] != 1/{size}"
         ah = s_mul(s_from_group(GElt(f=free_word("a"))), h)
-        if st_eval(abn[n], Germ(ah, zw)) != Fraction(-1, size):
+        if abn_at[n](Germ(ah, zw)) != Fraction(-1, size):
             bad = bad or f"(a*b{n})[ah, z] != -1/{size}"
         if row.sup_dist != Fraction(1, size):
             bad = bad or f"sup|b{n} - chiB| != 1/{size}"
-        if st_sup_dist(abn[n], achib) != Fraction(1, size):
+        _, dist = folded[n]
+        if dist != Fraction(1, size):
             bad = bad or f"sup|a*b{n} - a*chiB| != 1/{size}"
     _check(
         checks,
@@ -286,13 +288,12 @@ def _selfsim_values(
 
 
 def _selfsim_witness(
-    achib: SteinElt, abn: dict, rng: random.Random, checks: list
+    achib: SteinElt, abn_at: dict, witnesses: dict, rng: random.Random, checks: list
 ) -> None:
     bad = ""
     if st_open_witness(achib) is not None:
         bad = "a*chiB yields an open witness"
-    for n, prod in abn.items():
-        w = st_open_witness(prod)
+    for n, w in witnesses.items():
         if w is None:
             bad = bad or f"no open witness for a*b{n}"
             continue
@@ -301,7 +302,7 @@ def _selfsim_witness(
             while k in w.excluded:
                 k = _sample_kelt(rng)
             word = s_apply(s_from_word(finword(zl(w.channel, k))), _sample_word(rng))
-            val = st_eval(prod, Germ(s_from_group(w.group_elt), word))
+            val = abn_at[n](Germ(s_from_group(w.group_elt), word))
             if abs(val) != w.floor or val == 0:
                 bad = bad or f"witness value |{val}| != floor {w.floor} for a*b{n}"
     _check(
@@ -314,12 +315,12 @@ def _selfsim_witness(
 
 
 def _selfsim_verdicts(
-    a: SteinElt, abn: dict, rng: random.Random, checks: list
+    a: SteinElt, folded: dict, witnesses: dict, rng: random.Random, checks: list
 ) -> None:
     bad = ""
-    for n, prod in abn.items():
-        v = st_is_singular(prod)
-        if v.singular or v.witness is None:
+    for n, w in witnesses.items():
+        singular, _ = folded[n]
+        if singular or w is None:
             bad = bad or f"a*b{n} not recognized as nonsingular with witness"
     # U ranges over neighborhoods of support points of a*chiB, which are
     # the single-letter y-cylinders
@@ -671,10 +672,17 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
             a = st_a()
             achib = st_conv(a, st_chiB())
             abn = {n: st_conv(a, b) for n, b in profile.elements.items()}
+            # one fold gives every a*b_n's verdict and sup distance to a*chiB,
+            # and each a*b_n's witness and evaluator are made once
+            folded = dict(zip(abn, st_singular_and_dist(achib, list(abn.values()))))
+            witnesses = {n: st_open_witness(prod) for n, prod in abn.items()}
+            abn_at = {n: st_evaluator(prod) for n, prod in abn.items()}
             _selfsim_support(achib, checks)
-            _selfsim_values(achib, abn, profile.limit_rows, rng, checks)
-            _selfsim_witness(achib, abn, rng, checks)
-            _selfsim_verdicts(a, abn, rng, checks)
+            _selfsim_values(
+                st_evaluator(achib), abn_at, folded, profile.limit_rows, rng, checks
+            )
+            _selfsim_witness(achib, abn_at, witnesses, rng, checks)
+            _selfsim_verdicts(a, folded, witnesses, rng, checks)
             _selfsim_effectiveness(rng, checks)
     else:
         _bundle_identities(rng, checks)

@@ -415,11 +415,6 @@ def germ_key(s: SElt, w: Word):
     return shift, head[:n], residual
 
 
-def germ_eq(s: SElt, t: SElt, w: Word) -> bool:
-    """Whether s and t agree on a neighborhood of w (see :func:`germ_key`)."""
-    return germ_key(s, w) == germ_key(t, w)
-
-
 # ---------------------------------------------------------------------------
 # fixed-point spectrum and effectiveness
 # ---------------------------------------------------------------------------

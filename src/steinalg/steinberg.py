@@ -27,22 +27,28 @@ whose germ sets contain no open set.  A function is therefore singular
 precisely when no nonzero stratum is interior.
 
 One lazy fold over these classes, ``_class_sums``, sums integer
-numerators per germ key.  Both readers take its sums:
-``st_support_strata`` turns each nonzero one into a stratum, and
-``st_sup_dist``, fed f with sign +1 and g with -1, keeps the largest
-|sum|.
+numerators per germ key, one per element it is given, over one common
+denominator.  Three readers take its sums: ``st_support_strata`` turns
+each nonzero sum of one element into a stratum (only it asks the fold for
+the member lists), ``st_sup_dist`` keeps the largest |f - g| of two, and
+``st_singular_and_dist`` reads many elements with empty source prefixes
+in one walk: each one's singular verdict and its sup distance to a
+reference element.
 
-The fold and ``st_eval`` key terms by homomorphism images wherever no
-source prefix reaches (``_germ_keys``).  When every term defined at a
+The fold and ``st_evaluator`` key terms by homomorphism images wherever
+no source prefix reaches (``_germ_keys``).  When every term defined at a
 word has the same source prefix beta, the letters past beta are acted on
 by every term alike: a y-letter's index moves by zeta_ch(g) and the
 restriction becomes tau(g), a z-letter's index is multiplied by
 pi_ch(g) and the restriction becomes 1.  The index cancels when two
 images of the same letter are compared, so two such germs agree exactly
 when their alphas and these images agree.  Each term's images are read
-off once per fold or evaluation, and such keys are plain tuples of ints
-and strings.  Where a shorter source prefix acts on letters of a longer
-one, the terms are keyed by ``germ_key``.
+off once per fold or evaluator, and such keys are plain tuples of ints
+and strings.  They read only the families and channels of the letters
+past beta, so an evaluator sums its terms once per source prefix and
+tail signature and then reads each germ's value by one lookup.  Where a
+shorter source prefix acts on letters of a longer one, the terms are
+keyed by ``germ_key``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .groups import FreeWord, GElt, G_ONE, KElt, W_ONE, free_word, hom_pi, sphere
 from .selfsim import (
@@ -129,21 +135,21 @@ def st_conv(f: SteinElt, g: SteinElt) -> SteinElt:
     return st_make(prods, g.region)
 
 
-def _key_images(elts: list[SElt]) -> list[tuple]:
-    """What the image keys of ``_germ_keys`` read of each element, once:
-    an id of alpha (equal ids for equal alphas), the parts h and f of g,
-    zeta_1(g) and zeta_2(g), and the integer parts sigma_a(f),
-    sigma_b(f) of tau(g), which are also tau(g)'s images zeta_i and
-    pi_i.  pi_i(g) is (h, f, zeta_i(g))."""
-    ids: dict[tuple, int] = {}
-    out = []
-    for s in elts:
-        g = s.g
-        f = g.f.chars
-        sa, sb = f.count("a") - f.count("A"), f.count("b") - f.count("B")
-        aid = ids.setdefault(s.alpha.letters, len(ids))
-        out.append((aid, g.h.chars, f, g.n, g.m, sa, sb))
-    return out
+def _key_image(s: SElt, ids: dict) -> tuple:
+    """What the image keys of ``_germ_keys`` read of one element: an id of
+    alpha from ``ids`` (equal ids for equal alphas), the parts h and f of
+    g, zeta_1(g) and zeta_2(g), and the integer parts sigma_a(f),
+    sigma_b(f) of tau(g), which are also tau(g)'s images zeta_i and pi_i.
+    pi_i(g) is (h, f, zeta_i(g))."""
+    g = s.g
+    f = g.f.chars
+    sa, sb = f.count("a") - f.count("A"), f.count("b") - f.count("B")
+    return (ids.setdefault(s.alpha.letters, len(ids)), g.h.chars, f, g.n, g.m, sa, sb)
+
+
+def _key_images(elts: list[SElt], ids: dict) -> list[tuple]:
+    """``_key_image`` of each element, read once per fold or evaluator."""
+    return [_key_image(s, ids) for s in elts]
 
 
 def _germ_keys(
@@ -179,26 +185,71 @@ def _germ_keys(
     return [(im[0], im[zeta], im[sigma]) for im in images], True
 
 
+def st_evaluator(f: SteinElt) -> Callable[[Germ], Fraction]:
+    """Exact values of f at germs, with f's terms keyed once.
+
+    The value at a germ [s, w] is the sum of the coefficients of the terms
+    defined at w whose germ there is s's.  The terms are grouped by their
+    source prefix beta, and their images (``_key_images``) are read once,
+    here.  Where the terms defined at w, and s, share one beta, their keys
+    read only the families and channels of the at most
+    ``STABILIZATION_DEPTH`` letters past it (see ``_germ_keys``): the first
+    such germ sums the terms into one key -> numerator table for that beta
+    and that tail signature, and from then on a germ's value is one lookup
+    of s's key.  Elsewhere a shorter beta acts on letters of a longer one,
+    and the terms are keyed by ``germ_key`` at each germ.
+    """
+    terms = [(s, c) for s, c in f.terms if not s.zero]
+    denom = lcm(*(c.denominator for _, c in terms))
+    elts = [s for s, _ in terms]
+    nums = [c.numerator * (denom // c.denominator) for _, c in terms]
+    ids: dict = {}
+    images = _key_images(elts, ids)
+    by_beta: dict[tuple, list[int]] = {}
+    for t, s in enumerate(elts):
+        by_beta.setdefault(s.beta.letters, []).append(t)
+    longest = max(map(len, by_beta), default=0)
+    tables: dict = {}
+
+    def value(g: Germ) -> Fraction:
+        word = g.word
+        if not region_member(f.region, word):
+            return Fraction(0)
+        # one prefix of the word, as long as the longest beta, decides each term
+        pre = word.prefix(longest).letters
+        betas = [beta for beta in by_beta if pre[: len(beta)] == beta]
+        if not betas:
+            return Fraction(0)
+        b = len(g.s.beta.letters)
+        if len(betas) > 1 or len(betas[0]) != b:
+            target = germ_key(g.s, word)
+            hits = (
+                nums[t]
+                for beta in betas
+                for t in by_beta[beta]
+                if germ_key(elts[t], word) == target
+            )
+            return Fraction(sum(hits), denom)
+        tail = word.prefix(b + STABILIZATION_DEPTH).letters[b:]
+        signature = (betas[0], tuple((x.family, x.channel) for x in tail))
+        table = tables.get(signature)
+        if table is None:
+            table = tables[signature] = {}
+            defined = by_beta[betas[0]]
+            keys, _ = _germ_keys(
+                [elts[t] for t in defined], [images[t] for t in defined], b, word
+            )
+            for t, key in zip(defined, keys):
+                table[key] = table.get(key, 0) + nums[t]
+        (key,), _ = _germ_keys([g.s], [_key_image(g.s, ids)], b, word)
+        return Fraction(table.get(key, 0), denom)
+
+    return value
+
+
 def st_eval(f: SteinElt, g: Germ) -> Fraction:
-    """Exact value at a germ: the sum of coefficients of terms defined at
-    the base word with the same germ there."""
-    if not region_member(f.region, g.word):
-        return Fraction(0)
-    # one prefix of the word, as long as the longest beta, decides each term
-    longest = max((len(s.beta.letters) for s, _ in f.terms), default=0)
-    pre = g.word.prefix(longest).letters
-    defined = [
-        (s, c)
-        for s, c in f.terms
-        if not s.zero and s.beta.letters == pre[: len(s.beta.letters)]
-    ]
-    elts = [g.s] + [s for s, _ in defined]
-    lengths = {len(s.beta) for s in elts}
-    b = lengths.pop() if len(lengths) == 1 else None
-    keys, _ = _germ_keys(elts, _key_images(elts), b, g.word)
-    target = keys[0]
-    hits = (c for (_, c), key in zip(defined, keys[1:]) if key == target)
-    return sum(hits, Fraction(0))
+    """Exact value at a germ: ``st_evaluator(f)`` built and read once."""
+    return st_evaluator(f)(g)
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +325,16 @@ def _fresh_letter(fam: str, ch: int, pos: int, ys: set[int], zs: set[KElt]) -> L
     return Letter("z", ch, KElt(free_word("c" * depth), W_ONE, 0))
 
 
-def _class_sums(parts: list) -> tuple:
-    """The word classes of signed elements, with integer sums per germ.
+def _class_sums(elements: list, members: bool) -> tuple:
+    """The word classes of elements, with integer sums per germ and element.
 
-    ``parts`` pairs each element with a sign.  Returns ``(D, classes)``:
-    D is the lcm of the coefficients' denominators, and ``classes``
-    lazily yields ``(pattern, rep_word, interior, sums)`` per word class.
-    ``sums`` maps each germ key at ``rep_word`` to ``[numerator,
-    members]``: the positions, in the parts' terms taken in order, of the
-    terms defined there inside their own element's region with that key,
-    and the sum of their signed coefficients times D.
+    Returns ``(D, classes)``: D is the lcm of the coefficients'
+    denominators, and ``classes`` lazily yields ``(pattern, rep_word,
+    interior, sums)`` per word class.  ``sums`` maps each germ key at
+    ``rep_word`` to one numerator per element: the sum, times D, of the
+    coefficients of that element's terms defined there inside its region
+    with that key.  When ``members``, the list of those terms' positions,
+    in the elements' terms taken in order, follows the numerators.
     ``_germ_keys`` keys the defined terms of each class, from images read
     off each term once per fold, and each region is tested once per class.
 
@@ -297,18 +348,19 @@ def _class_sums(parts: list) -> tuple:
     the keys of the finite one, and the walk stops.  Every node at depth
     L = max |beta| + ``STABILIZATION_DEPTH`` is settled.
     """
-    denom = lcm(*(c.denominator for f, _ in parts for _, c in f.terms))
-    terms = [
-        (s, sign * c.numerator * (denom // c.denominator), i)
-        for i, (f, sign) in enumerate(parts)
-        for s, c in f.terms
-    ]
-    if not terms:
+    denom = lcm(*(c.denominator for f in elements for _, c in f.terms))
+    elts, nums, owner = [], [], []
+    for i, f in enumerate(elements):
+        for s, c in f.terms:
+            elts.append(s)
+            nums.append(c.numerator * (denom // c.denominator))
+            owner.append(i)
+    if not elts:
         return 1, iter(())
-    elts = [s for s, _, _ in terms]
-    images = _key_images(elts)
+    images = _key_images(elts, {})
     betas = [s.beta.letters for s in elts]
-    regions = [f.region for f, _ in parts]
+    regions = [f.region for f in elements]
+    blank = [0] * len(elements)
     L = max(len(b) + STABILIZATION_DEPTH for b in betas)
     written = [x for s in elts for x in s.alpha + s.beta]
     ys = {x.index for x in written if x.family == "y"}
@@ -328,11 +380,14 @@ def _class_sums(parts: list) -> tuple:
         inside = [region_member(r, word) for r in regions]
         sums: dict = {}
         for t, key in zip(defined, keys):
-            _, num, i = terms[t]
+            i = owner[t]
             if inside[i]:
-                entry = sums.setdefault(key, [0, []])
-                entry[0] += num
-                entry[1].append(t)
+                entry = sums.get(key)
+                if entry is None:
+                    entry = sums[key] = blank + [[]] if members else blank.copy()
+                entry[i] += nums[t]
+                if members:
+                    entry[-1].append(t)
         yield pattern, word, settled, sums
         if settled:
             return
@@ -359,7 +414,7 @@ def _class_sums(parts: list) -> tuple:
 
 def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
     """All nonzero germ-class strata of f, exact and exhaustive: each germ
-    key of ``_class_sums([(f, 1)])`` with a nonzero sum is a stratum,
+    key of ``_class_sums([f], True)`` with a nonzero sum is a stratum,
     whose value is one exact ``Fraction``.  Members are in
     ``SElt.sort_key`` order: f's terms are ranked once, and each stratum
     orders its members by that rank."""
@@ -367,7 +422,7 @@ def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
     rank = [0] * len(elts)
     for r, t in enumerate(sorted(range(len(elts)), key=lambda t: elts[t].sort_key())):
         rank[t] = r
-    denom, classes = _class_sums([(f, 1)])
+    denom, classes = _class_sums([f], True)
     strata: list[SupportStratum] = []
     for pattern, rep, interior, sums in classes:
         for num, members in sums.values():
@@ -379,13 +434,14 @@ def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
 
 
 def st_sup_dist(f: SteinElt, g: SteinElt) -> Fraction:
-    """Exact supremum of |f - g| over all germs: the largest |sum| of
-    ``_class_sums([(f, 1), (g, -1)])``, since the germ partition and both
-    regions' membership (which reads only the first letter) are constant
-    on each class.  The supremum becomes a ``Fraction`` once, at the end."""
-    denom, classes = _class_sums([(f, 1), (g, -1)])
+    """Exact supremum of |f - g| over all germs: the largest difference of
+    the two numerators of ``_class_sums([f, g], False)``, since the germ
+    partition and both regions' membership (which reads only the first
+    letter) are constant on each class.  The supremum becomes a
+    ``Fraction`` once, at the end."""
+    denom, classes = _class_sums([f, g], False)
     best = max(
-        (abs(num) for *_, sums in classes for num, _ in sums.values()), default=0
+        (abs(x - y) for *_, sums in classes for x, y in sums.values()), default=0
     )
     return Fraction(best, denom)
 
@@ -464,3 +520,54 @@ def st_is_singular(f: SteinElt) -> SingularVerdict:
     interior = next((s for s in strata if s.interior), None)
     witness = st_open_witness(f) if interior is not None else None
     return SingularVerdict(interior is None, strata, interior, witness)
+
+
+def st_singular_and_dist(
+    ref: SteinElt, elements: list[SteinElt]
+) -> list[tuple[bool, Fraction]]:
+    """For each element f, ``st_is_singular(f).singular`` and
+    ``st_sup_dist(f, ref)``, read off one fold of ``[ref, *elements]``.
+
+    Every term must have an empty source prefix, as the terms of a, b_n,
+    chi_B and their products do; a term with a nonempty one raises
+    ``ValueError``.  f is singular when no interior class has a nonzero
+    entry of f, and its distance is the largest |entry of f - entry of
+    ref| over all classes.  Both equal the readings of f's own walk
+    (and of the walk of [f, ref]), because the shared walk refines it:
+
+    - No term is alive below the root and every term is defined at every
+      word, so in any of these walks a node settles exactly when it is
+      not the root and every term's restriction past it is trivial.  The
+      shared walk's terms include those of any subset of the elements,
+      so a node where it settles is settled for every subset too.
+    - Hence each class of the subset's walk is a union of shared classes:
+      where the subset's walk settles at or above a shared node, that
+      node's class lies in the settled cylinder, and elsewhere the two
+      walks have the same node.  An interior shared class lies in an
+      interior class of the subset's walk, and below an interior class
+      of the subset's walk every branch of the shared walk ends in
+      interior classes (it settles by depth ``STABILIZATION_DEPTH``).
+    - The keys split each element's terms as ``germ_key`` does, and
+      region membership reads only the first letter, which is fixed on
+      every class past the root.  So on a shared class inside a class of
+      the subset's walk, every element's entries are those of that class.
+
+    The sup therefore runs over the same values, and an interior class
+    with a nonzero entry of f exists in the shared walk exactly when one
+    does in f's own.
+    """
+    parts = [ref, *elements]
+    if any(s.beta.letters for f in parts for s, _ in f.terms):
+        raise ValueError("the shared fold takes terms with an empty source prefix")
+    denom, classes = _class_sums(parts, False)
+    best = [0] * len(elements)
+    nonsingular = [False] * len(elements)
+    for _, _, interior, sums in classes:
+        if not sums:
+            continue
+        base, *columns = zip(*sums.values())
+        for i, column in enumerate(columns):
+            best[i] = max(best[i], max(abs(x - y) for x, y in zip(column, base)))
+            if interior and not nonsingular[i]:
+                nonsingular[i] = any(column)
+    return [(not n, Fraction(d, denom)) for n, d in zip(nonsingular, best)]

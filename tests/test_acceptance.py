@@ -49,7 +49,6 @@ from steinalg.selfsim import (
     act_word,
     effectiveness_witness,
     finword,
-    germ_eq,
     germ_key,
     omega,
     s_apply,
@@ -76,6 +75,11 @@ from steinalg.steinberg import (
     st_open_witness,
     st_sub,
 )
+
+
+def germ_eq(s, t, w) -> bool:
+    """Whether s and t agree on a neighborhood of w: equal germ keys."""
+    return germ_key(s, w) == germ_key(t, w)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -14,12 +14,12 @@ from click.testing import CliRunner
 
 import steinalg
 
-from steinalg import cli, repnorm
+from steinalg import cli, repnorm, steinberg
 from steinalg.bundle import bstein, bundle_a, bundle_bn, bundle_chiB
 from steinalg.cli import main
 from steinalg.groups import free_word
 from steinalg.repnorm import LimitRow
-from steinalg.steinberg import st_a, st_bn, st_chiB
+from steinalg.steinberg import st_a, st_bn, st_chiB, st_conv
 
 
 def run(*args, env=None):
@@ -174,8 +174,11 @@ def test_verify_computes_each_limit_distance_once(monkeypatch):
         calls.append((f, g))
         return real(f, g)
 
+    # cli reads sup|a*b_n - a*chiB| off the shared fold and has no
+    # st_sup_dist to call
+    assert not hasattr(cli, "st_sup_dist")
     monkeypatch.setattr(repnorm, "st_sup_dist", counting)
-    monkeypatch.setattr(cli, "st_sup_dist", counting)
+    monkeypatch.setattr(steinberg, "st_sup_dist", counting)
     res = run("verify", "--indices", "1,2")
     assert res.exit_code == 0
     assert [f for f, g in calls if g == st_chiB()] == [st_bn(1), st_bn(2)]
@@ -196,6 +199,100 @@ def test_verify_builds_each_selfsim_product_once(monkeypatch):
     assert all(f == st_a() for f, _ in calls)
     rights = [g for _, g in calls]
     assert [rights.count(g) for g in (st_chiB(), st_bn(1), st_bn(2))] == [1, 1, 1]
+
+
+def _recording(monkeypatch, module, name, calls):
+    """Patch ``module.name`` to add its arguments to ``calls``."""
+    real = getattr(module, name)
+
+    def recording(*args):
+        calls.extend(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def test_verify_folds_and_keys_each_selfsim_product_once(monkeypatch):
+    # one shared fold reads every a*b_n's verdict and distance to a*chiB,
+    # each product's witness is extracted once, and each evaluated product
+    # has its terms keyed once outside the folds
+    achib = st_conv(st_a(), st_chiB())
+    abn = [st_conv(st_a(), st_bn(n)) for n in (1, 2)]
+    witnessed, verdicts, dists, keyed = [], [], [], []
+    for module in (cli, steinberg):
+        _recording(monkeypatch, module, "st_open_witness", witnessed)
+        _recording(monkeypatch, module, "st_is_singular", verdicts)
+    for module in (repnorm, steinberg):
+        _recording(monkeypatch, module, "st_sup_dist", dists)
+    in_fold = []
+    real_fold, real_images = steinberg._class_sums, steinberg._key_images
+
+    def fold(elements, members):
+        in_fold.append(True)
+        try:
+            return real_fold(elements, members)
+        finally:
+            in_fold.pop()
+
+    def images(elts, ids):
+        if not in_fold:
+            keyed.append(elts)
+        return real_images(elts, ids)
+
+    monkeypatch.setattr(steinberg, "_class_sums", fold)
+    monkeypatch.setattr(steinberg, "_key_images", images)
+    res = run("verify", "--indices", "1,2")
+    assert res.exit_code == 0
+    # a*chiB, a*b_1 and a*b_2 have 4, 16 and 48 terms
+    assert sorted(keyed, key=len) == [[s for s, _ in f.terms] for f in [achib, *abn]]
+    assert sorted(witnessed, key=lambda f: len(f.terms)) == [achib, *abn]
+    assert not any(f in abn for f in verdicts)
+    assert not any(f in abn for f in dists)
+
+
+def _double_floor(real):
+    def doubled(f):
+        w = real(f)
+        return w and dataclasses.replace(w, floor=2 * w.floor)
+
+    return doubled
+
+
+def _no_interior(real):
+    def exact_only(elements, members):
+        denom, classes = real(elements, members)
+        return denom, ((p, w, False, sums) for p, w, _, sums in classes)
+
+    return exact_only
+
+
+# ROADMAP item 11: each row patches a plausible defect into one check and
+# asserts that the check fails while the unpatched run passes
+CHECK_DEFECTS = [
+    ("open-witness", cli, "st_open_witness", _double_floor,
+     "witness value |1/4| != floor 1/2 for a*b1"),
+    ("singularity-verdicts", steinberg, "_class_sums", _no_interior,
+     "a*b1 not recognized as nonsingular with witness"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, module, name, defect, detail",
+    CHECK_DEFECTS,
+    ids=[row[0] for row in CHECK_DEFECTS],
+)
+def test_verify_check_fails_on_its_defect(monkeypatch, check, module, name, defect, detail):
+    res = run("verify", "--indices", "1,2")
+    assert res.exit_code == 0
+    status = {c["id"]: c["status"] for c in json.loads(res.stdout)["checks"]}
+    assert status[check] == "pass"
+    monkeypatch.setattr(module, name, defect(getattr(module, name)))
+    res = run("verify", "--indices", "1,2")
+    assert res.exit_code == 1
+    checks = {c["id"]: c for c in json.loads(res.stdout)["checks"]}
+    assert checks[check]["status"] == "fail"
+    assert checks[check]["detail"] == detail
+    assert [c for c, v in checks.items() if v["status"] == "fail"] == [check]
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 Two germ oracles stand beside ``germ_key``: one multiplies by an explicit
 prefix projection and compares normal forms at the stabilization depth,
-the other keys a germ by the whole image word.  germ_eq and the equal-key
-relation must agree with both everywhere.
+the other keys a germ by the whole image word.  germ_eq, the equal-key
+relation kept here, must agree with both everywhere.
 """
 
 import pytest
@@ -37,7 +37,6 @@ from steinalg.selfsim import (
     act_word,
     effectiveness_witness,
     finword,
-    germ_eq,
     germ_key,
     omega,
     s_apply,
@@ -72,6 +71,11 @@ def oracle_act_letters(g, letters):
         imgs.append(act_letter(g, x))
         g = restrict_letter(g, x)
     return tuple(imgs), g
+
+
+def germ_eq(s, t, w):
+    """Whether s and t agree on a neighborhood of w: equal germ keys."""
+    return germ_key(s, w) == germ_key(t, w)
 
 
 def oracle_germ_eq(s, t, w):

@@ -60,9 +60,11 @@ from steinalg.steinberg import (
     st_chi_cylinder,
     st_conv,
     st_eval,
+    st_evaluator,
     st_is_singular,
     st_make,
     st_open_witness,
+    st_singular_and_dist,
     st_sub,
     st_sup_dist,
     st_support_strata,
@@ -473,6 +475,35 @@ def test_sup_dist_dominates_samples(f, g, data):
         assert abs(st_eval(f, gm) - st_eval(g, gm)) <= d
 
 
+flat_elts = st.builds(SElt, small_words, g_elts, st.just(EPS))
+stein_flat = st.builds(
+    lambda ts, kind: st_make(ts, kind),
+    st.lists(st.tuples(flat_elts, coeffs), max_size=3),
+    st.sampled_from([REGION_FULL, REGION_B]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stein_flat, st.lists(stein_flat, min_size=1, max_size=4))
+# b_1 alone settles every y-branch at depth 1, beside a*chiB it does not;
+# a*chiB is singular and nonzero
+@example(a_chiB(), [st_bn(1), st_conv(st_a(), st_bn(1)), a_chiB(), SteinElt()])
+def test_shared_fold_matches_each_elements_own_fold(ref, elements):
+    got = st_singular_and_dist(ref, elements)
+    want = [(st_is_singular(f).singular, st_sup_dist(f, ref)) for f in elements]
+    assert got == want
+
+
+def test_shared_fold_rejects_source_prefixes():
+    flat = st_conv(st_a(), st_bn(1))
+    cut = st_chi_cylinder(finword(yl(1, 0)))
+    with pytest.raises(ValueError, match="empty source prefix"):
+        st_singular_and_dist(flat, [st_bn(1), cut])
+    with pytest.raises(ValueError, match="empty source prefix"):
+        st_singular_and_dist(cut, [flat])
+    assert st_singular_and_dist(SteinElt(), [SteinElt()]) == [(True, 0)]
+
+
 # ---------------------------------------------------------------------------
 # degenerate cases
 # ---------------------------------------------------------------------------
@@ -656,11 +687,11 @@ def test_sup_dist_and_strata_read_one_fold(f):
 @pytest.mark.parametrize("n", [1, 2])
 def test_settled_walk_class_counts(n):
     # b_n - chiB settles at every first letter; a*b_n only at the z-letters
-    diff = [(st_bn(n), 1), (st_chiB(), -1)]
+    pair = [st_bn(n), st_chiB()]
     abn = st_conv(st_a(), st_bn(n))
-    signed = [(s, sign * c) for f, sign in diff for s, c in f.terms]
-    assert sum(1 for _ in _class_sums(diff)[1]) == 5
-    assert sum(1 for _ in _class_sums([(abn, 1)])[1]) == 13
+    signed = [(s, c) for f in pair for s, c in f.terms]
+    assert sum(1 for _ in _class_sums(pair, False)[1]) == 5
+    assert sum(1 for _ in _class_sums([abn], False)[1]) == 13
     assert sum(1 for _ in oracle_word_classes(signed)) == 21
     assert sum(1 for _ in oracle_word_classes(abn.terms)) == 21
 
@@ -704,10 +735,10 @@ stein_keyed = st.one_of(stein_any, stein_shared)
 def test_image_keys_partition_terms_as_germ_key_does(f, g, data):
     # every class of the fold groups its terms as germ_key does
     elts = [s for s, _ in f.terms + g.terms]
-    for _, rep, _, sums in _class_sums([(f, 1), (g, -1)])[1]:
-        blocks = {frozenset(members) for _, members in sums.values()}
+    for _, rep, _, sums in _class_sums([f, g], True)[1]:
+        blocks = {frozenset(members) for *_, members in sums.values()}
         by_key = {}
-        for _, members in sums.values():
+        for *_, members in sums.values():
             for t in members:
                 by_key.setdefault(germ_key(elts[t], rep), set()).add(t)
         assert blocks == {frozenset(b) for b in by_key.values()}
@@ -729,9 +760,9 @@ def test_image_keys_partition_terms_as_germ_key_does(f, g, data):
                 assert st_eval(f, gm) == oracle_eval(f, gm)
 
 
-def test_eval_reads_terms_off_one_prefix():
-    # a zero term, betas of lengths 0 to 2, and omega words whose heads
-    # are shorter than the longest beta
+def one_prefix_case():
+    """A zero term, betas of lengths 0 to 2, and omega words whose heads
+    are shorter than the longest beta."""
     y0, y1 = yl(1, 0), yl(1, 1)
     f = SteinElt(
         (
@@ -750,11 +781,85 @@ def test_eval_reads_terms_off_one_prefix():
         omega(EPS, finword(y0)),
         omega(finword(y1), finword(y0)),
     )
+    return f, words
+
+
+def test_eval_reads_terms_off_one_prefix():
+    f, words = one_prefix_case()
     for w in words:
         for s, _ in f.terms:
             if s_defined_at(s, w):
                 gm = Germ(s, w)
                 assert st_eval(f, gm) == oracle_eval(f, gm)
+
+
+def test_evaluator_reads_terms_off_one_prefix(monkeypatch):
+    # one evaluator for all words: at EPS the terms share beta = 1, past
+    # y1[0] several betas are defined and germ_key keys them
+    f, words = one_prefix_case()
+    at = st_evaluator(f)
+    calls = counting_germ_key(monkeypatch)
+    for w in words:
+        for s, _ in f.terms:
+            if s_defined_at(s, w):
+                gm = Germ(s, w)
+                before = len(calls)
+                assert at(gm) == oracle_eval(f, gm)
+                mixed = w.prefix(1) == finword(yl(1, 0))
+                assert (len(calls) > before) == mixed
+
+
+@settings(max_examples=200, deadline=None)
+@given(stein_keyed, st.data())
+def test_evaluator_matches_term_oracle(f, data):
+    # one evaluator read at many germs, so its tables serve words with
+    # equal tail signatures and different letters, in any order
+    at = st_evaluator(f)
+    written = sorted({x for s, _ in f.terms for x in s.alpha}, key=Letter.sort_key)
+    pool = st.one_of(letters, st.sampled_from(written)) if written else letters
+    germs = []
+    for s, _ in f.terms:
+        for _ in range(3):
+            w = s.beta + FinWord(tuple(data.draw(st.lists(pool, max_size=3))))
+            if data.draw(st.booleans()):
+                period = data.draw(st.lists(pool, min_size=1, max_size=2))
+                w = omega(w, FinWord(tuple(period)))
+            germs.extend(Germ(t, w) for t, _ in f.terms if s_defined_at(t, w))
+        # a germ of an element that is not one of f's terms
+        u = data.draw(st.builds(SElt, small_words, g_elts, st.just(s.beta)))
+        germs.append(Germ(u, s.beta + finword(yl(2, 3))))
+    for gm in data.draw(st.permutations(germs)):
+        assert at(gm) == oracle_eval(f, gm)
+
+
+def test_evaluator_keys_terms_once(monkeypatch):
+    # a*b_2 read at 30 germs: its terms are keyed once, one table is
+    # summed per tail signature, and the values are the terms' sums
+    abn = st_conv(st_a(), st_bn(2))
+    images, keyed = [], []
+    real_images, real_keys = steinberg._key_images, steinberg._germ_keys
+
+    def counting_images(elts, ids):
+        images.append(len(elts))
+        return real_images(elts, ids)
+
+    def counting_keys(elts, imgs, b, word):
+        keyed.append(len(elts))
+        return real_keys(elts, imgs, b, word)
+
+    monkeypatch.setattr(steinberg, "_key_images", counting_images)
+    monkeypatch.setattr(steinberg, "_germ_keys", counting_keys)
+    at = st_evaluator(abn)
+    assert images == [len(abn.terms)]
+    h = s_from_group(h_elt(sphere(2)[0]))
+    for i in range(10):
+        k = KElt(free_word("c" * i), W_ONE, i)
+        for w in (finword(zl(1, k)), finword(zl(1, k), yl(2, i)), finword(yl(1, i))):
+            assert at(Germ(h, w)) == oracle_eval(abn, Germ(h, w))
+    assert images == [len(abn.terms)]
+    # signatures z1, z1.y2 and y1: three tables, then one key per germ
+    assert sorted(keyed, reverse=True)[:4] == [len(abn.terms)] * 3 + [1]
+    assert keyed.count(1) == 30
 
 
 @settings(max_examples=100, deadline=None)
@@ -779,13 +884,13 @@ def test_class_sums_key_shared_betas_by_images(monkeypatch):
     # a*b_2's terms all have beta = 1, so no class needs germ_key
     calls = counting_germ_key(monkeypatch)
     abn = st_conv(st_a(), st_bn(2))
-    assert sum(1 for _ in _class_sums([(abn, 1)])[1]) == 13
+    assert sum(1 for _ in _class_sums([abn], False)[1]) == 13
     assert calls == []
     # positive control: at y1[0], 1 acts on the letter that the
     # projection's beta holds, so that one class keys both terms
     x = finword(yl(1, 0))
     mixed = st_make([(S_ONE, 1), (s_proj(x), 1)])
-    list(_class_sums([(mixed, 1)])[1])
+    list(_class_sums([mixed], False)[1])
     assert calls == [(S_ONE, x), (s_proj(x), x)]
 
 
