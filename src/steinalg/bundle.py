@@ -13,14 +13,17 @@ restriction flag to the closed-open half B = X u Y; this keeps the
 indicator of the noncompact half B exact.
 
 Over one unit a function is a finite table of values on the fiber group.
-One fold, ``_fiber_sums``, builds these tables for signed sums of
+One vector fold, ``_fiber_sums``, builds these tables for a list of
 functions at given units: it puts every coefficient over the lcm of the
-denominators once and sums integer numerators per fiber arrow.
-``bundle_sup_dist``, ``bundle_is_singular`` and the norm bound
-``repnorm.bundle_norm_bound`` read that fold at one unit per stratum of
-``stratum_units`` (the strata are where every involved function has a
-constant table); evaluation, ``bstein_eval``, reads it at the unit of
-one arrow.
+denominators once and sums one integer numerator per function per fiber
+arrow.  Its readers take it at one unit per stratum of ``stratum_units``
+(the strata are where every involved function has a constant table):
+``bundle_sup_dist`` compares two functions, ``bundle_is_singular`` looks
+for a nonzero isolated arrow of one, ``bundle_singular_and_dist`` reads
+both facts for many functions against one reference in one fold, and
+``repnorm.bundle_norm_bound`` and ``repnorm.cauchy_profile`` sum or
+compare the numerators.  Evaluation, ``bstein_eval``, reads the fold at
+the unit of one arrow, over only the terms that can land on it.
 Everything here is exact: coefficients are fractions.
 """
 
@@ -294,63 +297,88 @@ B_ZERO = BSteinElt()
 _KEY_SLOT = {"x": 0, "y": 1, "z": 2, "eps": 2}
 
 
-def _fiber_sums(parts: list, units: list) -> tuple:
-    """The fiber tables of signed elements, as integer sums per arrow.
+def _fiber_sums(elements: list, units: list) -> tuple:
+    """The fiber tables of elements, as integer sums per arrow.
 
-    ``parts`` pairs each element with a sign.  Returns ``(D, tables)``:
-    D is the lcm of the coefficients' denominators, and ``tables`` lazily
-    yields, for each unit in turn, the map (bit, h) -> nonzero sum of the
-    signed coefficients times D of the terms present over that unit, in
-    the order the terms first reach each arrow.  A term of U_(bit, h) is
-    present over u when its element's flag admits u's kind and its region
-    holds u; it adds at the single arrow of U_(bit, h) over u, which is
-    (0, W_ONE) over x, (bit, W_ONE) over y and (bit, h) over z and eps.
+    Returns ``(D, tables)``: D is the lcm of the coefficients'
+    denominators, and ``tables`` lazily yields, for each unit in turn, the
+    map (bit, h) -> one numerator per element, the sum times D of that
+    element's coefficients of the terms present over that unit, for the
+    arrows some present term reaches, in the order the terms first reach
+    them; an entry may be zero.  A term of U_(bit, h) is present over u
+    when its element's flag admits u's kind and its region holds u; it
+    adds at the single arrow of U_(bit, h) over u, which is (0, W_ONE)
+    over x, (bit, W_ONE) over y and (bit, h) over z and eps.
     """
-    denom = lcm(*(t[2].denominator for f, _ in parts for t in f.terms))
+    denom = lcm(*(t[2].denominator for f in elements for t in f.terms))
     # arrows and regions are numbered once, so the per-unit sums hash small
     # integers and each distinct region is tested once per unit
     arrows = {(0, W_ONE): 0, (1, W_ONE): 1}
     regions: dict[BUnitSet, int] = {}
     terms = [
         (
-            sign * c.numerator * (denom // c.denominator),
+            i,
+            c.numerator * (denom // c.denominator),
             _FLAG_KINDS[f.flag],
             regions.setdefault(region, len(regions)),
             (0, bit, arrows.setdefault((bit, h), len(arrows))),
         )
-        for f, sign in parts
+        for i, f in enumerate(elements)
         for bit, h, c, region in f.terms
     ]
     keys = list(arrows)
+    blank = [0] * len(elements)
 
     def tables():
         for u in units:
-            slot = _KEY_SLOT[u.kind]
+            kind, slot = u.kind, _KEY_SLOT[u.kind]
             inside = [buset_member(r, u) for r in regions]
-            acc: dict[int, int] = {}
-            for num, kinds, r, at in terms:
-                if inside[r] and u.kind in kinds:
-                    i = at[slot]
-                    acc[i] = acc.get(i, 0) + num
-            yield {keys[i]: v for i, v in acc.items() if v}
+            acc: dict[int, list] = {}
+            for i, num, kinds, r, at in terms:
+                if inside[r] and kind in kinds:
+                    a = at[slot]
+                    entry = acc.get(a)
+                    if entry is None:
+                        entry = acc[a] = blank.copy()
+                    entry[i] += num
+            yield {keys[a]: entry for a, entry in acc.items()}
 
     return denom, tables()
 
 
 def bstein_eval(f: BSteinElt, arrow: BArrow) -> Fraction:
-    """f at one arrow, read off the fold's table over the arrow's unit."""
-    denom, tables = _fiber_sums([(f, 1)], [arrow.unit])
-    return Fraction(next(tables).get((arrow.bit, arrow.h), 0), denom)
+    """f at one arrow, read off the fold's table over the arrow's unit.
+
+    Only the terms that can land on the arrow are folded: over x every
+    term, over y those with the arrow's bit, over z and eps those with
+    the arrow's (bit, h)."""
+    kind, bit, h = arrow.unit.kind, arrow.bit, arrow.h
+    if kind == "x":
+        terms = f.terms
+    elif kind == "y":
+        terms = tuple(t for t in f.terms if t[0] == bit)
+    else:
+        terms = tuple(t for t in f.terms if t[0] == bit and t[1] == h)
+    denom, tables = _fiber_sums([BSteinElt(terms, f.flag)], [arrow.unit])
+    (num,) = next(tables).get((bit, h), [0])
+    return Fraction(num, denom)
 
 
 def bstein_conv(f: BSteinElt, g: BSteinElt) -> BSteinElt:
     """Convolution; in a bundle arrows compose only over a shared unit,
-    so a product is restricted to B when either factor is."""
+    so a product is restricted to B when either factor is.  Each distinct
+    pair of the factors' regions is intersected once."""
     flag = g.flag if f.flag == FLAG_FULL else f.flag
+    f_regions: dict[BUnitSet, int] = {}
+    g_regions: dict[BUnitSet, int] = {}
+    f_at = [f_regions.setdefault(t[3], len(f_regions)) for t in f.terms]
+    g_at = [g_regions.setdefault(t[3], len(g_regions)) for t in g.terms]
+    meets = [[buset_intersect(U, V) for V in g_regions] for U in f_regions]
     prods = []
-    for b1, h1, c1, U in f.terms:
-        for b2, h2, c2, V in g.terms:
-            prods.append(((b1 + b2) % 2, h1 * h2, c1 * c2, buset_intersect(U, V)))
+    for (b1, h1, c1, _), i in zip(f.terms, f_at):
+        row = meets[i]
+        for (b2, h2, c2, _), j in zip(g.terms, g_at):
+            prods.append(((b1 + b2) % 2, h1 * h2, c1 * c2, row[j]))
     return bstein(prods, flag)
 
 
@@ -437,8 +465,9 @@ def bundle_sup_dist(f: BSteinElt, g: BSteinElt) -> Fraction:
     """Exact supremum of |f - g| over all arrows: both are constant on
     strata, so one unit per stratum and the keys of both fiber tables
     there see every value of f - g."""
-    denom, tables = _fiber_sums([(f, 1), (g, -1)], stratum_units((f, g)))
-    return Fraction(max((abs(v) for t in tables for v in t.values()), default=0), denom)
+    denom, tables = _fiber_sums([f, g], stratum_units((f, g)))
+    best = max((abs(x - y) for t in tables for x, y in t.values()), default=0)
+    return Fraction(best, denom)
 
 
 @dataclass(frozen=True)
@@ -447,19 +476,62 @@ class BundleVerdict:
     witness: Optional[BArrow]  # a nonzero isolated arrow when nonsingular
 
 
+# the unit kinds whose arrows are isolated
+_ISOLATED = ("x", "z")
+
+
 def bundle_is_singular(f: BSteinElt) -> BundleVerdict:
     """Whether supp(f) has empty interior.
 
     The isolated arrows are exactly those over x- and z-units, and every
     nonempty open set contains one, so f is singular iff its fiber table
-    is empty at every x- and z-unit of ``stratum_units``.  The witness
+    is zero at every x- and z-unit of ``stratum_units``.  The witness
     lies over the first such unit, in ``stratum_units`` order, with a
-    nonempty table, at its least (bit, h) there.
+    nonzero entry, at its least such (bit, h) there.
     """
-    units = [u for u in stratum_units((f,)) if u.kind in ("x", "z")]
-    _, tables = _fiber_sums([(f, 1)], units)
-    for u, vals in zip(units, tables):
-        if vals:
-            bit, h = min(vals, key=lambda k: (k[0], k[1].sort_key()))
+    units = [u for u in stratum_units((f,)) if u.kind in _ISOLATED]
+    _, tables = _fiber_sums([f], units)
+    for u, sums in zip(units, tables):
+        nonzero = [k for k, (v,) in sums.items() if v]
+        if nonzero:
+            bit, h = min(nonzero, key=lambda k: (k[0], k[1].sort_key()))
             return BundleVerdict(False, barrow(bit, h, u))
     return BundleVerdict(True, None)
+
+
+def bundle_singular_and_dist(
+    ref: BSteinElt, elements: list[BSteinElt]
+) -> list[tuple[bool, Fraction]]:
+    """For each element f, ``bundle_is_singular(f).singular`` and
+    ``bundle_sup_dist(f, ref)``, read off one fold of ``[ref, *elements]``
+    over ``stratum_units`` of all of them.
+
+    Those units meet every stratum of each subset of the elements.  A
+    function's table at a unit depends only on the unit's kind and on
+    which of the function's regions hold it, so call two units alike for
+    a set of functions when they have the same kind and lie in the same
+    regions of those functions; the strata of the set are the classes of
+    this relation.  Units alike for all the elements are alike for every
+    subset, as a subset has fewer regions, so each stratum of a subset
+    is a union of strata of all the elements, and ``stratum_units`` of all
+    of them meets each of those.  Hence, for every f:
+
+    - the tables of f and ref at these units are their tables on every
+      stratum of the pair, so the largest |entry of f - entry of ref|
+      over them is ``bundle_sup_dist(f, ref)``;
+    - the x- and z-units among them meet every x- and z-stratum of f, so
+      f has a nonzero entry at one of them exactly when
+      ``bundle_is_singular`` finds a witness.
+    """
+    units = stratum_units((ref, *elements))
+    denom, tables = _fiber_sums([ref, *elements], units)
+    best = [0] * len(elements)
+    nonsingular = [False] * len(elements)
+    for u, sums in zip(units, tables):
+        isolated = u.kind in _ISOLATED
+        for base, *column in sums.values():
+            for i, v in enumerate(column):
+                best[i] = max(best[i], abs(v - base))
+                if isolated and v:
+                    nonsingular[i] = True
+    return [(not n, Fraction(d, denom)) for n, d in zip(nonsingular, best)]

@@ -37,7 +37,7 @@ from .bundle import (
     bundle_chi,
     bundle_chiB,
     bundle_is_singular,
-    bundle_sup_dist,
+    bundle_singular_and_dist,
     buset,
     buset_intersect,
     buset_union,
@@ -470,17 +470,17 @@ def _bundle_values(achib: BSteinElt, bn: dict, checks: list) -> None:
     )
 
 
-def _bundle_rates(
-    achib: BSteinElt, abn: dict, limit_rows: tuple, checks: list
-) -> None:
+def _bundle_rates(folded: dict, limit_rows: tuple, checks: list) -> None:
     bad = ""
-    # sup|b_n - chiB| is read off the Cauchy profile's limit rows
+    # sup|b_n - chiB| is read off the Cauchy profile's limit rows, and
+    # sup|a*b_n - a*chiB| off the shared fold
     for row in limit_rows:
         n = row.n
         size = sphere_size(n)
         if row.sup_dist != Fraction(1, size):
             bad = bad or f"sup|b{n} - chiB| != 1/{size}"
-        if bundle_sup_dist(abn[n], achib) != Fraction(1, size):
+        _, dist = folded[n]
+        if dist != Fraction(1, size):
             bad = bad or f"sup|a*b{n} - a*chiB| != 1/{size}"
     _check(
         checks,
@@ -491,14 +491,14 @@ def _bundle_rates(
 
 
 def _bundle_verdicts(
-    achib: BSteinElt, abn: dict, rng: random.Random, checks: list
+    achib: BSteinElt, folded: dict, rng: random.Random, checks: list
 ) -> None:
     bad = ""
     if not bundle_is_singular(achib).singular:
         bad = "a*chiB not singular"
-    for n, prod in abn.items():
-        v = bundle_is_singular(prod)
-        if v.singular or v.witness is None:
+    # nonsingular means some isolated arrow holds a nonzero value: a witness
+    for n, (singular, _) in folded.items():
+        if singular:
             bad = bad or f"a*b{n} not nonsingular with isolated witness"
     for _ in range(5):
         i = rng.randrange(1, 8)
@@ -689,10 +689,12 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
         if indices:
             achib = bstein_conv(bundle_a(), bundle_chiB())
             bn = profile.elements
-            abn = {n: bstein_conv(bundle_a(), b) for n, b in bn.items()}
+            abn = [bstein_conv(bundle_a(), b) for b in bn.values()]
+            # one fold gives every a*b_n's verdict and sup distance to a*chiB
+            folded = dict(zip(bn, bundle_singular_and_dist(achib, abn)))
             _bundle_values(achib, bn, checks)
-            _bundle_rates(achib, abn, profile.limit_rows, checks)
-            _bundle_verdicts(achib, abn, rng, checks)
+            _bundle_rates(folded, profile.limit_rows, checks)
+            _bundle_verdicts(achib, folded, rng, checks)
     cauchy = _cauchy_section(profile, checks) if indices else None
     payload = {
         "schema_version": SCHEMA_VERSION,

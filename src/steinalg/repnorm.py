@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
-from operator import methodcaller
+from operator import methodcaller, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 # OpenBLAS's worker threads spin for about 0.1 s of CPU after numpy
@@ -61,16 +61,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .bundle import (
-    BSteinElt,
-    _fiber_sums,
-    bundle_bn,
-    bundle_chiB,
-    bundle_sup_dist,
-    stratum_units,
-)
+from .bundle import BSteinElt, _fiber_sums, bundle_bn, bundle_chiB, stratum_units
 from .groups import FreeWord, H_GENS, W_ONE, sphere_size
-from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_sup_dist
+from .steinberg import REGION_FULL, SteinElt, _class_sums, st_bn, st_chiB
 
 
 # ---------------------------------------------------------------------------
@@ -494,22 +487,32 @@ def bundle_norm_bound(
     bit 0).  z- and eps-fibers carry the order-two group times the free
     factor; splitting along the two characters of the order-two part
     leaves one free group walk per character.  Both are summed on the
-    fold's integer numerators, and equal walks (such as the eps unit's
-    and a fresh z-unit's) are estimated once.
+    signed sums of the fold's integer numerators, one per part, and equal
+    walks (such as the eps unit's and a fresh z-unit's) are estimated
+    once.
     """
-    units = stratum_units(tuple(f for f, _ in parts))
-    denom, tables = _fiber_sums(parts, units)
+    elements = tuple(f for f, _ in parts)
+    signs = [sign for _, sign in parts]
+    units = stratum_units(elements)
+    denom, tables = _fiber_sums(elements, units)
     exact: list[Fraction] = []
     walks: dict[frozenset, dict[FreeWord, int]] = {}
-    for u, sums in zip(units, tables):
+    zeros = [0] * len(parts)
+    for u, table in zip(units, tables):
         if u.kind in ("x", "y"):
-            v0, v1 = sums.get((0, W_ONE), 0), sums.get((1, W_ONE), 0)
+            v0, v1 = (sum(map(mul, signs, table.get((b, W_ONE), zeros))) for b in (0, 1))
             exact += (Fraction(v0 + v1, denom), Fraction(v0 - v1, denom))
             continue
-        for sign in (1, -1):
-            walk: dict[FreeWord, int] = {}
-            for (bit, h), c in sums.items():
-                walk[h] = walk.get(h, 0) + (-c if bit and sign < 0 else c)
+        # the walks of the characters bit -> 1 and bit -> (-1)^bit
+        plus: dict[FreeWord, int] = {}
+        minus: dict[FreeWord, int] = {}
+        for (bit, h), nums in table.items():
+            c = sum(map(mul, signs, nums))
+            if not c:
+                continue
+            plus[h] = plus.get(h, 0) + c
+            minus[h] = minus.get(h, 0) + (-c if bit else c)
+        for walk in (plus, minus):
             walk = {h: c for h, c in walk.items() if c}
             if walk:
                 walks.setdefault(frozenset(walk.items()), walk)
@@ -554,6 +557,45 @@ class CauchyProfile:
     elements: Mapping[int, Union[SteinElt, BSteinElt]]
 
 
+def _selfsim_sums(elements: list) -> tuple:
+    """``(D, vectors)`` of one ``_class_sums`` fold of selfsim elements:
+    per class and germ key, one numerator per element over D.  Every
+    term must have an empty source prefix, under which the walk refines
+    the walk of every subset (``st_singular_and_dist``); a term with a
+    nonempty one raises ``ValueError``."""
+    if any(s.beta.letters for f in elements for s, _ in f.terms):
+        raise ValueError("the shared fold takes terms with an empty source prefix")
+    denom, classes = _class_sums(elements, False)
+    return denom, (v for *_, sums in classes for v in sums.values())
+
+
+def _bundle_sums(elements: list) -> tuple:
+    """``(D, vectors)`` of one ``_fiber_sums`` fold of bundle elements at
+    ``stratum_units`` of all of them, which meet every stratum of each
+    subset (``bundle_singular_and_dist``): per unit and arrow, one
+    numerator per element over D."""
+    denom, tables = _fiber_sums(elements, stratum_units(tuple(elements)))
+    return denom, (v for t in tables for v in t.values())
+
+
+def _sup_dists(denom: int, vectors: Iterable, size: int) -> list[list[Fraction]]:
+    """Entry [i][j] is the largest |v[i] - v[j]| / denom over the numerator
+    vectors of ``size`` elements.  Where both entries are zero the pair
+    gains nothing, so each vector is read from its nonzero entries."""
+    best = [[0] * size for _ in range(size)]
+    for v in vectors:
+        for i, x in enumerate(v):
+            if x:
+                row = best[i]
+                for j, y in enumerate(v):
+                    if abs(x - y) > row[j]:
+                        row[j] = abs(x - y)
+    return [
+        [Fraction(max(best[i][j], best[j][i]), denom) for j in range(size)]
+        for i in range(size)
+    ]
+
+
 def cauchy_profile(
     indices: Sequence[int],
     example: str = "selfsim",
@@ -568,7 +610,12 @@ def cauchy_profile(
     built: the norm bound takes the signed parts [(b_n, 1), (b_m, -1)],
     as the folds do, and the coefficient sum is that of b_n minus that of
     b_m, each taken once per element.  Limit rows record
-    the sup distance to the indicator of the y-rooted half.  Pointwise
+    the sup distance to the indicator of the y-rooted half.  Every sup
+    distance, pair and limit, is read off one vector fold of [chi_B, b_n
+    for each index], whose classes or units refine those of each pair
+    (the proofs are in ``st_singular_and_dist`` and
+    ``bundle_singular_and_dist``), so it equals ``st_sup_dist`` or
+    ``bundle_sup_dist`` of that pair.  Pointwise
     the b_n converge (sup distances vanish), and the norm rows tend to 0
     as well: the certified upper bound of a pair is haagerup_bound(n) +
     haagerup_bound(m), so the b_n are Cauchy in the reduced norm.
@@ -578,22 +625,22 @@ def cauchy_profile(
         if not isinstance(n, int) or n < 1:
             raise ValueError("sphere indices must be positive integers")
     if example == "selfsim":
-        build, chi, dist, bound = st_bn, st_chiB, st_sup_dist, stein_H_norm_bound
+        build, chi, fold, bound = st_bn, st_chiB, _selfsim_sums, stein_H_norm_bound
         at = 1  # a term is (s, c)
     elif example == "bundle":
-        build, chi, dist = bundle_bn, bundle_chiB, bundle_sup_dist
+        build, chi, fold = bundle_bn, bundle_chiB, _bundle_sums
         bound, at = bundle_norm_bound, 2  # a term is (bit, h, c, region)
     else:
         raise ValueError(f"unknown example {example!r}")
     elts = {n: build(n) for n in idx}
-    limit = chi()
+    # position 0 of the fold is chi_B, position p the p-th index
+    sups = _sup_dists(*fold([chi(), *elts.values()]), len(idx) + 1)
     totals = {n: sum(t[at] for t in f.terms) for n, f in elts.items()}
     rows = []
     for i, n in enumerate(idx):
-        for m in idx[i + 1:]:
+        for j, m in enumerate(idx[i + 1:], i + 1):
             est = bound([(elts[n], 1), (elts[m], -1)], radius, tol)
-            sup = dist(elts[n], elts[m])
             pi_triv = totals[n] - totals[m]
-            rows.append(CauchyRow(n, m, sup, est.upper, est.lower, pi_triv))
-    limit_rows = tuple(LimitRow(n, dist(elts[n], limit)) for n in idx)
+            rows.append(CauchyRow(n, m, sups[i + 1][j + 1], est.upper, est.lower, pi_triv))
+    limit_rows = tuple(LimitRow(n, sups[i + 1][0]) for i, n in enumerate(idx))
     return CauchyProfile(example, radius, tuple(rows), limit_rows, elts)

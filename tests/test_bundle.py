@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from steinalg import bundle as bundle_module
+from steinalg import bundle as bundle_module, repnorm
 from steinalg.groups import W_ONE, free_word, sphere
 from steinalg.bundle import (
     B_ZERO,
@@ -32,6 +32,7 @@ from steinalg.bundle import (
     bundle_chi,
     bundle_chiB,
     bundle_is_singular,
+    bundle_singular_and_dist,
     bundle_sup_dist,
     buset,
     buset_intersect,
@@ -416,19 +417,23 @@ def test_fiber_fold_equals_term_by_term_oracle(f, g, arrow):
 @given(b_elts, b_elts)
 @example(bundle_chiB(), bundle_a())  # flags B and full
 def test_fiber_sums_equal_oracle_differences(f, g):
-    # the integer fold over D, read at every stratum unit, is f - g arrow
-    # by arrow: no key is missing, extra, zero or off by a denominator
+    # the integer vector fold over D, read at every stratum unit, is f and
+    # g arrow by arrow, so its entries differ by f - g: no nonzero value is
+    # missing and no entry is off by a denominator
     units = stratum_units((f, g))
-    denom, tables = _fiber_sums([(f, 1), (g, -1)], units)
+    denom, tables = _fiber_sums([f, g], units)
     arrows = oracle_stratum_arrows((f, g))
     for u, table in zip(units, tables):
-        diffs = {
-            (a.bit, a.h): oracle_eval(f, a) - oracle_eval(g, a)
+        want = {
+            (a.bit, a.h): (oracle_eval(f, a), oracle_eval(g, a))
             for a in arrows
             if a.unit == u
         }
-        got = {k: Fraction(v, denom) for k, v in table.items()}
-        assert got == {k: v for k, v in diffs.items() if v}
+        got = {k: (Fraction(x, denom), Fraction(y, denom)) for k, (x, y) in table.items()}
+        assert all(want.get(k, (0, 0)) == v for k, v in got.items())
+        assert {k for k, v in want.items() if any(v)} <= set(got)
+        diffs = {k: x - y for k, (x, y) in got.items() if x != y}
+        assert diffs == {k: x - y for k, (x, y) in want.items() if x != y}
 
 
 def test_fiber_sums_test_each_region_once_per_unit(monkeypatch):
@@ -439,16 +444,96 @@ def test_fiber_sums_test_each_region_once_per_unit(monkeypatch):
     monkeypatch.setattr(
         bundle_module, "buset_member", lambda U, u: calls.append(U) or member(U, u)
     )
-    for parts in (
-        [(bundle_bn(3), 1), (bundle_bn(2), -1)],
-        [(bstein_conv(bundle_a(), bundle_bn(2)), 1)],
+    for elements in (
+        [bundle_bn(3), bundle_bn(2)],
+        [bstein_conv(bundle_a(), bundle_bn(2))],
     ):
-        terms = [t for f, _ in parts for t in f.terms]
+        terms = [t for f in elements for t in f.terms]
         regions = {t[3] for t in terms}
-        units = stratum_units(tuple(f for f, _ in parts))
+        units = stratum_units(tuple(elements))
         calls.clear()
-        list(_fiber_sums(parts, units)[1])
+        list(_fiber_sums(elements, units)[1])
         assert len(calls) == len(units) * len(regions) < len(units) * len(terms)
+
+
+b_lists = st.lists(b_elts, max_size=4)
+
+
+@given(b_elts, b_lists)
+@example(bstein_conv(bundle_a(), bundle_chiB()), [
+    bstein_conv(bundle_a(), bundle_bn(1)), bundle_chiB(), B_ZERO
+])
+def test_shared_fold_equals_pair_readers(ref, fs):
+    # one fold of [ref, *fs] at the stratum units of all of them reads
+    # every f's verdict and distance to ref as its own folds do
+    want = [(bundle_is_singular(f).singular, bundle_sup_dist(f, ref)) for f in fs]
+    assert bundle_singular_and_dist(ref, fs) == want
+
+
+@given(st.lists(b_elts, min_size=1, max_size=4))
+@example([bundle_chiB(), bundle_bn(1), bundle_bn(2), bundle_a()])
+def test_shared_sup_table_matches_each_pair(fs):
+    # the Cauchy profile's sups: one fold of every element, read pairwise
+    sups = repnorm._sup_dists(*repnorm._bundle_sums(fs), len(fs))
+    for i, f in enumerate(fs):
+        for j, g in enumerate(fs):
+            assert sups[i][j] == bundle_sup_dist(f, g)
+
+
+def test_eval_folds_only_the_terms_that_reach_its_arrow(monkeypatch):
+    # b_3 holds 36 terms (0, h), one per word of the sphere: a z- or
+    # eps-arrow reads at most the one with its (bit, h), a y-arrow the
+    # terms of its bit, an x-arrow every term
+    folded = []
+    real = bundle_module._fiber_sums
+
+    def counting(elements, units):
+        folded.append(sum(len(f.terms) for f in elements))
+        return real(elements, units)
+
+    monkeypatch.setattr(bundle_module, "_fiber_sums", counting)
+    b3, h = bundle_bn(3), sphere(3)[0]
+    f = bstein_conv(bundle_a(), b3)
+    cases = [
+        (b3, barrow(0, h, uz(5)), Fraction(1, 36), 1),
+        (b3, barrow(1, h, U_EPS), 0, 0),
+        (b3, barrow(0, W_ONE, uz(5)), 0, 0),
+        (b3, barrow(1, W_ONE, uy(2)), 0, 0),
+        (b3, barrow(0, W_ONE, uy(2)), 1, 36),
+        (b3, barrow(0, W_ONE, ux(2, 3)), 1, 36),
+        (f, barrow(1, h, uz(5)), Fraction(-1, 36), 1),
+        (f, barrow(1, W_ONE, uy(2)), -1, 36),
+    ]
+    for elt, arrow, value, terms in cases:
+        folded.clear()
+        assert bstein_eval(elt, arrow) == value == oracle_eval(elt, arrow)
+        assert folded == [terms]
+
+
+def test_conv_intersects_each_region_pair_once(monkeypatch):
+    # a and b_3 hold 2 and 36 terms, all on the whole unit space: one
+    # intersection, not 72; a few distinct regions meet pairwise once each
+    calls = []
+    real = bundle_module.buset_intersect
+    monkeypatch.setattr(
+        bundle_module, "buset_intersect", lambda U, V: calls.append((U, V)) or real(U, V)
+    )
+    bstein_conv(bundle_a(), bundle_bn(3))
+    assert calls == [(WHOLE_SET, WHOLE_SET)]
+    U, V = buset(zs={1, 2}), buset(eps=True, zs={2})
+    f = bstein([(0, W_ONE, 1, U), (1, W_ONE, 2, V), (0, free_word("c"), 3, U)])
+    g = bstein([(0, free_word("d"), 1, V), (1, free_word("d"), 1, V)])
+    calls.clear()
+    prod = bstein_conv(f, g)
+    assert sorted(calls, key=str) == sorted([(U, V), (V, V)], key=str)
+    want = bstein(
+        [
+            ((b1 + b2) % 2, h1 * h2, c1 * c2, real(R, S))
+            for b1, h1, c1, R in f.terms
+            for b2, h2, c2, S in g.terms
+        ]
+    )
+    assert prod == want
 
 
 def test_bstein_merges_mixed_coefficients():

@@ -14,8 +14,8 @@ from click.testing import CliRunner
 
 import steinalg
 
-from steinalg import cli, repnorm, steinberg
-from steinalg.bundle import bstein, bundle_a, bundle_bn, bundle_chiB
+from steinalg import bundle, cli, repnorm, steinberg
+from steinalg.bundle import barrow, bstein, bundle_a, bundle_bn, bundle_chiB
 from steinalg.cli import main
 from steinalg.groups import free_word
 from steinalg.repnorm import LimitRow
@@ -165,23 +165,41 @@ def test_verify_csv_emits_cauchy_table():
     assert lines[3].startswith("2,,1/12,")
 
 
+def _recording(monkeypatch, module, name, calls):
+    """Patch ``module.name`` to add its arguments to ``calls``."""
+    real = getattr(module, name)
+
+    def recording(*args):
+        calls.extend(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+
+
 def test_verify_computes_each_limit_distance_once(monkeypatch):
-    # the value table reads sup|b_n - chiB| off the Cauchy profile
-    real = repnorm.st_sup_dist
-    calls = []
+    # the value table reads sup|b_n - chiB| off the Cauchy profile, which
+    # reads every sup row off one shared fold and calls no pair function,
+    # and cli reads sup|a*b_n - a*chiB| off the shared verdict fold
+    for name in ("st_sup_dist", "bundle_sup_dist"):
+        assert not hasattr(cli, name) and not hasattr(repnorm, name)
+    dists, folds = [], []
+    for module in (steinberg, bundle):
+        name = "st_sup_dist" if module is steinberg else "bundle_sup_dist"
+        _recording(monkeypatch, module, name, dists)
+    real_fold = repnorm._class_sums
 
-    def counting(f, g):
-        calls.append((f, g))
-        return real(f, g)
+    def fold(elements, members):
+        folds.append(elements)
+        return real_fold(elements, members)
 
-    # cli reads sup|a*b_n - a*chiB| off the shared fold and has no
-    # st_sup_dist to call
-    assert not hasattr(cli, "st_sup_dist")
-    monkeypatch.setattr(repnorm, "st_sup_dist", counting)
-    monkeypatch.setattr(steinberg, "st_sup_dist", counting)
+    monkeypatch.setattr(repnorm, "_class_sums", fold)
     res = run("verify", "--indices", "1,2")
     assert res.exit_code == 0
-    assert [f for f, g in calls if g == st_chiB()] == [st_bn(1), st_bn(2)]
+    assert dists == []
+    assert folds == [[st_chiB(), st_bn(1), st_bn(2)]]
+    res = run("verify", "--example", "bundle", "--indices", "1,2")
+    assert res.exit_code == 0
+    assert dists == []
 
 
 def test_verify_builds_each_selfsim_product_once(monkeypatch):
@@ -201,17 +219,6 @@ def test_verify_builds_each_selfsim_product_once(monkeypatch):
     assert [rights.count(g) for g in (st_chiB(), st_bn(1), st_bn(2))] == [1, 1, 1]
 
 
-def _recording(monkeypatch, module, name, calls):
-    """Patch ``module.name`` to add its arguments to ``calls``."""
-    real = getattr(module, name)
-
-    def recording(*args):
-        calls.extend(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, recording)
-
-
 def test_verify_folds_and_keys_each_selfsim_product_once(monkeypatch):
     # one shared fold reads every a*b_n's verdict and distance to a*chiB,
     # each product's witness is extracted once, and each evaluated product
@@ -222,8 +229,7 @@ def test_verify_folds_and_keys_each_selfsim_product_once(monkeypatch):
     for module in (cli, steinberg):
         _recording(monkeypatch, module, "st_open_witness", witnessed)
         _recording(monkeypatch, module, "st_is_singular", verdicts)
-    for module in (repnorm, steinberg):
-        _recording(monkeypatch, module, "st_sup_dist", dists)
+    _recording(monkeypatch, steinberg, "st_sup_dist", dists)
     in_fold = []
     real_fold, real_images = steinberg._class_sums, steinberg._key_images
 
@@ -239,7 +245,9 @@ def test_verify_folds_and_keys_each_selfsim_product_once(monkeypatch):
             keyed.append(elts)
         return real_images(elts, ids)
 
-    monkeypatch.setattr(steinberg, "_class_sums", fold)
+    # the Cauchy profile folds through its own reference
+    for module in (steinberg, repnorm):
+        monkeypatch.setattr(module, "_class_sums", fold)
     monkeypatch.setattr(steinberg, "_key_images", images)
     res = run("verify", "--indices", "1,2")
     assert res.exit_code == 0
@@ -266,28 +274,51 @@ def _no_interior(real):
     return exact_only
 
 
+def _bit_blind_over_y(real):
+    def blind(f, arrow):
+        if arrow.unit.kind == "y":
+            arrow = barrow(0, arrow.h, arrow.unit)
+        return real(f, arrow)
+
+    return blind
+
+
+def _without_z(kinds):
+    return tuple(k for k in kinds if k != "z")
+
+
+SELFSIM = ("verify", "--indices", "1,2")
+BUNDLE = ("verify", "--example", "bundle", "--indices", "1,2")
+
 # ROADMAP item 11: each row patches a plausible defect into one check and
 # asserts that the check fails while the unpatched run passes
 CHECK_DEFECTS = [
-    ("open-witness", cli, "st_open_witness", _double_floor,
+    (SELFSIM, "open-witness", cli, "st_open_witness", _double_floor,
      "witness value |1/4| != floor 1/2 for a*b1"),
-    ("singularity-verdicts", steinberg, "_class_sums", _no_interior,
+    (SELFSIM, "singularity-verdicts", steinberg, "_class_sums", _no_interior,
      "a*b1 not recognized as nonsingular with witness"),
+    (BUNDLE, "value-table", cli, "bstein_eval", _bit_blind_over_y,
+     "(a*chiB)((1,1;y[2])) != -1"),
+    # the mutant of ROADMAP item 7: a verdict that skips the z-units
+    (BUNDLE, "singularity-verdicts", bundle, "_ISOLATED", _without_z,
+     "a*b1 not nonsingular with isolated witness"),
 ]
 
 
 @pytest.mark.parametrize(
-    "check, module, name, defect, detail",
+    "args, check, module, name, defect, detail",
     CHECK_DEFECTS,
-    ids=[row[0] for row in CHECK_DEFECTS],
+    ids=[("bundle-" if args == BUNDLE else "") + check for args, check, *_ in CHECK_DEFECTS],
 )
-def test_verify_check_fails_on_its_defect(monkeypatch, check, module, name, defect, detail):
-    res = run("verify", "--indices", "1,2")
+def test_verify_check_fails_on_its_defect(
+    monkeypatch, args, check, module, name, defect, detail
+):
+    res = run(*args)
     assert res.exit_code == 0
     status = {c["id"]: c["status"] for c in json.loads(res.stdout)["checks"]}
     assert status[check] == "pass"
     monkeypatch.setattr(module, name, defect(getattr(module, name)))
-    res = run("verify", "--indices", "1,2")
+    res = run(*args)
     assert res.exit_code == 1
     checks = {c["id"]: c for c in json.loads(res.stdout)["checks"]}
     assert checks[check]["status"] == "fail"

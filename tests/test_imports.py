@@ -25,7 +25,8 @@ passes; a method that only tests call is dead surface.
 
 Every layer the benchmark traces (``LAYERS`` in ``bench/layertrace.py``)
 is a callable of its module, so a deletion that would leave the benchmark
-tracing an absent name fails here.
+tracing an absent name fails here, and a bundle ``verify`` still calls
+the two layers that ``bench/test_oracle.py`` asserts it reaches.
 
 The command line runs on click and numpy alone: a fresh interpreter that
 imports ``steinalg.cli`` loads no scipy module, builds no step table of
@@ -252,7 +253,7 @@ def test_every_defaulted_parameter_is_set_by_the_package():
     assert unset_defaults(sources) == []
 
 
-def test_every_traced_layer_is_defined():
+def test_every_traced_layer_is_defined(monkeypatch):
     tree = ast.parse((ROOT / "bench" / "layertrace.py").read_text())
     layers = literal(tree, "LAYERS")
     assert layers
@@ -263,6 +264,29 @@ def test_every_traced_layer_is_defined():
         if not callable(getattr(importlib.import_module(f"steinalg.{mod}"), name, None))
     ]
     assert absent == []
+    # bench/test_oracle.py asserts that a small traced bundle verify calls
+    # these two layers; every steinalg reference to them is counted, as
+    # layertrace rebinds them
+    from click.testing import CliRunner
+
+    from steinalg import cli
+
+    calls = {"bundle.bstein_eval": 0, "repnorm.h_ball_operator": 0}
+    for layer in calls:
+        mod, name = layer.split(".")
+        real = getattr(importlib.import_module(f"steinalg.{mod}"), name)
+
+        def counting(*args, layer=layer, real=real, **kwargs):
+            calls[layer] += 1
+            return real(*args, **kwargs)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("steinalg.")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    args = ["verify", "--example", "bundle", "--indices", "1,2"]
+    res = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    assert res.exit_code == 0
+    assert all(calls.values()), calls
 
 
 def _fresh_import(env_threads):

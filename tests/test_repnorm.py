@@ -809,6 +809,58 @@ def test_cauchy_profile_builds_no_difference(monkeypatch, example, module, build
     assert len(calls) == len(indices) + 1
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["selfsim", "bundle"]),
+    st.sets(st.integers(1, 4), min_size=1, max_size=4),
+)
+def test_cauchy_profile_sup_rows_equal_the_pair_functions(example, indices):
+    # the rows read one shared fold; each must be what its pair function says
+    dist, chi = {
+        "selfsim": (steinberg.st_sup_dist, steinberg.st_chiB),
+        "bundle": (bundle_module.bundle_sup_dist, bundle_chiB),
+    }[example]
+    prof = cauchy_profile(sorted(indices), example=example, radius=1)
+    b = prof.elements
+    assert [r.sup_dist for r in prof.rows] == [dist(b[r.n], b[r.m]) for r in prof.rows]
+    assert [r.sup_dist for r in prof.limit_rows] == [
+        dist(b[r.n], chi()) for r in prof.limit_rows
+    ]
+
+
+@pytest.mark.parametrize("example", ["selfsim", "bundle"])
+def test_cauchy_profile_runs_one_sup_fold_for_any_number_of_indices(
+    monkeypatch, example
+):
+    # k indices give k(k-1)/2 pair rows and k limit rows, all read off one
+    # fold; the bundle norm bound folds its own pair and is not counted
+    folds, in_bound = [], []
+    for name in ("_class_sums", "_fiber_sums"):
+        real_fold = getattr(repnorm, name)
+
+        def fold(*args, real=real_fold):
+            if not in_bound:
+                folds.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(repnorm, name, fold)
+    real_bound = repnorm.bundle_norm_bound
+
+    def bound(*args):
+        in_bound.append(True)
+        try:
+            return real_bound(*args)
+        finally:
+            in_bound.pop()
+
+    monkeypatch.setattr(repnorm, "bundle_norm_bound", bound)
+    for k in range(2, 6):
+        folds.clear()
+        prof = cauchy_profile(range(1, k + 1), example=example, radius=1)
+        assert len(prof.rows) == k * (k - 1) // 2
+        assert folds == [k + 1]
+
+
 def test_cauchy_profile_validation_and_edges():
     with pytest.raises(ValueError):
         cauchy_profile((1, 2), example="nope")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from steinalg import steinberg
+from steinalg import repnorm, steinberg
 from steinalg.groups import (
     GElt,
     KElt,
@@ -494,6 +494,17 @@ def test_shared_fold_matches_each_elements_own_fold(ref, elements):
     assert got == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(stein_flat, min_size=1, max_size=4))
+@example([st_chiB(), st_bn(1), st_bn(2), st_conv(st_a(), st_bn(1))])
+def test_shared_sup_table_matches_each_pair(elements):
+    # the Cauchy profile's sups: one fold of every element, read pairwise
+    sups = repnorm._sup_dists(*repnorm._selfsim_sums(elements), len(elements))
+    for i, f in enumerate(elements):
+        for j, g in enumerate(elements):
+            assert sups[i][j] == st_sup_dist(f, g)
+
+
 def test_shared_fold_rejects_source_prefixes():
     flat = st_conv(st_a(), st_bn(1))
     cut = st_chi_cylinder(finword(yl(1, 0)))
@@ -501,6 +512,8 @@ def test_shared_fold_rejects_source_prefixes():
         st_singular_and_dist(flat, [st_bn(1), cut])
     with pytest.raises(ValueError, match="empty source prefix"):
         st_singular_and_dist(cut, [flat])
+    with pytest.raises(ValueError, match="empty source prefix"):
+        repnorm._selfsim_sums([flat, cut])
     assert st_singular_and_dist(SteinElt(), [SteinElt()]) == [(True, 0)]
 
 
