@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import Iterable, Optional, Union
 
 from .groups import FreeWord, H_GENS, W_ONE, sphere
@@ -301,32 +302,42 @@ def _fiber_sums(elements: list, units: list) -> tuple:
     """The fiber tables of elements, as integer sums per arrow.
 
     Returns ``(D, tables)``: D is the lcm of the coefficients'
-    denominators, and ``tables`` lazily yields, for each unit in turn, the
-    map (bit, h) -> one numerator per element, the sum times D of that
-    element's coefficients of the terms present over that unit, for the
-    arrows some present term reaches, in the order the terms first reach
-    them; an entry may be zero.  A term of U_(bit, h) is present over u
-    when its element's flag admits u's kind and its region holds u; it
-    adds at the single arrow of U_(bit, h) over u, which is (0, W_ONE)
-    over x, (bit, W_ONE) over y and (bit, h) over z and eps.
+    denominators, and ``tables`` lazily yields, for each unit in turn, a
+    list of pairs ((bit, h), numerators), one pair per arrow that some
+    present term reaches.  The numerators hold one entry per element, the
+    sum times D of that element's coefficients of the terms present over
+    that unit at that arrow, and may be zero.  The pairs are listed, not
+    keyed, so that no reader pays for hashing words it only scans.  A
+    term of U_(bit, h) is present over u when its element's flag admits
+    u's kind and its region holds u; it adds at the single arrow of
+    U_(bit, h) over u, which is (0, W_ONE) over x, (bit, W_ONE) over y
+    and (bit, h) over z and eps.
     """
     denom = lcm(*(t[2].denominator for f in elements for t in f.terms))
-    # arrows and regions are numbered once, so the per-unit sums hash small
-    # integers and each distinct region is tested once per unit
-    arrows = {(0, W_ONE): 0, (1, W_ONE): 1}
+    # Arrows and regions are numbered once, so the per-unit sums hash small
+    # integers; arrows are found by their letter strings, whose hashes are
+    # cached.  The terms are grouped by element and region, so each group's
+    # flag and region are tested once per unit, and a run of terms that
+    # share one region object looks it up once.
+    keys = [(0, W_ONE), (1, W_ONE)]
+    arrows = {(0, ""): 0, (1, ""): 1}
     regions: dict[BUnitSet, int] = {}
-    terms = [
-        (
-            i,
-            c.numerator * (denom // c.denominator),
-            _FLAG_KINDS[f.flag],
-            regions.setdefault(region, len(regions)),
-            (0, bit, arrows.setdefault((bit, h), len(arrows))),
-        )
-        for i, f in enumerate(elements)
-        for bit, h, c, region in f.terms
-    ]
-    keys = list(arrows)
+    groups: dict[tuple[int, int], tuple] = {}
+    for i, f in enumerate(elements):
+        kinds = _FLAG_KINDS[f.flag]
+        last = None
+        for bit, h, c, region in f.terms:
+            if region is not last:
+                last = region
+                r = regions.setdefault(region, len(regions))
+                group = groups.get((i, r))
+                if group is None:
+                    group = groups[i, r] = (i, r, kinds, [])
+            a = arrows.setdefault((bit, h.chars), len(keys))
+            if a == len(keys):
+                keys.append((bit, h))
+            num = c.numerator * (denom // c.denominator)
+            group[3].append((num, (0, bit, a)))
     blank = [0] * len(elements)
 
     def tables():
@@ -334,14 +345,15 @@ def _fiber_sums(elements: list, units: list) -> tuple:
             kind, slot = u.kind, _KEY_SLOT[u.kind]
             inside = [buset_member(r, u) for r in regions]
             acc: dict[int, list] = {}
-            for i, num, kinds, r, at in terms:
+            for i, r, kinds, terms in groups.values():
                 if inside[r] and kind in kinds:
-                    a = at[slot]
-                    entry = acc.get(a)
-                    if entry is None:
-                        entry = acc[a] = blank.copy()
-                    entry[i] += num
-            yield {keys[a]: entry for a, entry in acc.items()}
+                    for num, at in terms:
+                        a = at[slot]
+                        entry = acc.get(a)
+                        if entry is None:
+                            entry = acc[a] = blank.copy()
+                        entry[i] += num
+            yield [(keys[a], entry) for a, entry in acc.items()]
 
     return denom, tables()
 
@@ -360,8 +372,8 @@ def bstein_eval(f: BSteinElt, arrow: BArrow) -> Fraction:
     else:
         terms = tuple(t for t in f.terms if t[0] == bit and t[1] == h)
     denom, tables = _fiber_sums([BSteinElt(terms, f.flag)], [arrow.unit])
-    (num,) = next(tables).get((bit, h), [0])
-    return Fraction(num, denom)
+    # every folded term lands on the arrow, so the table holds at most it
+    return Fraction(sum(num for _, (num,) in next(tables)), denom)
 
 
 def bstein_conv(f: BSteinElt, g: BSteinElt) -> BSteinElt:
@@ -466,7 +478,7 @@ def bundle_sup_dist(f: BSteinElt, g: BSteinElt) -> Fraction:
     strata, so one unit per stratum and the keys of both fiber tables
     there see every value of f - g."""
     denom, tables = _fiber_sums([f, g], stratum_units((f, g)))
-    best = max((abs(x - y) for t in tables for x, y in t.values()), default=0)
+    best = max((abs(x - y) for t in tables for _, (x, y) in t), default=0)
     return Fraction(best, denom)
 
 
@@ -492,7 +504,7 @@ def bundle_is_singular(f: BSteinElt) -> BundleVerdict:
     units = [u for u in stratum_units((f,)) if u.kind in _ISOLATED]
     _, tables = _fiber_sums([f], units)
     for u, sums in zip(units, tables):
-        nonzero = [k for k, (v,) in sums.items() if v]
+        nonzero = [k for k, (v,) in sums if v]
         if nonzero:
             bit, h = min(nonzero, key=lambda k: (k[0], k[1].sort_key()))
             return BundleVerdict(False, barrow(bit, h, u))
@@ -528,10 +540,11 @@ def bundle_singular_and_dist(
     best = [0] * len(elements)
     nonsingular = [False] * len(elements)
     for u, sums in zip(units, tables):
-        isolated = u.kind in _ISOLATED
-        for base, *column in sums.values():
-            for i, v in enumerate(column):
-                best[i] = max(best[i], abs(v - base))
-                if isolated and v:
-                    nonsingular[i] = True
+        if not sums:
+            continue
+        base, *columns = zip(*(nums for _, nums in sums))
+        for i, column in enumerate(columns):
+            best[i] = max(best[i], *map(abs, map(sub, column, base)))
+            if u.kind in _ISOLATED and not nonsingular[i]:
+                nonsingular[i] = any(column)
     return [(not n, Fraction(d, denom)) for n, d in zip(nonsingular, best)]

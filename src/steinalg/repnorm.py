@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
-from operator import methodcaller, mul
+from operator import methodcaller, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 # OpenBLAS's worker threads spin for about 0.1 s of CPU after numpy
@@ -62,7 +62,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .bundle import BSteinElt, _fiber_sums, bundle_bn, bundle_chiB, stratum_units
-from .groups import FreeWord, H_GENS, W_ONE, sphere_size
+from .groups import FreeWord, H_GENS, sphere_size
 from .steinberg import REGION_FULL, SteinElt, _class_sums, st_bn, st_chiB
 
 
@@ -496,27 +496,38 @@ def bundle_norm_bound(
     units = stratum_units(elements)
     denom, tables = _fiber_sums(elements, units)
     exact: list[Fraction] = []
-    walks: dict[frozenset, dict[FreeWord, int]] = {}
-    zeros = [0] * len(parts)
+    walks: dict[frozenset, dict[str, int]] = {}
+    # walks are keyed by letter strings, whose hashes are cached, and get
+    # their words back at the end
+    words: dict[str, FreeWord] = {}
     for u, table in zip(units, tables):
         if u.kind in ("x", "y"):
-            v0, v1 = (sum(map(mul, signs, table.get((b, W_ONE), zeros))) for b in (0, 1))
-            exact += (Fraction(v0 + v1, denom), Fraction(v0 - v1, denom))
+            v = [0, 0]
+            for (bit, _), nums in table:
+                v[bit] += sum(map(mul, signs, nums))
+            exact += (Fraction(v[0] + v[1], denom), Fraction(v[0] - v[1], denom))
             continue
         # the walks of the characters bit -> 1 and bit -> (-1)^bit
-        plus: dict[FreeWord, int] = {}
-        minus: dict[FreeWord, int] = {}
-        for (bit, h), nums in table.items():
+        plus: dict[str, int] = {}
+        minus: dict[str, int] = {}
+        for (bit, h), nums in table:
             c = sum(map(mul, signs, nums))
             if not c:
                 continue
-            plus[h] = plus.get(h, 0) + c
-            minus[h] = minus.get(h, 0) + (-c if bit else c)
+            k = h.chars
+            words.setdefault(k, h)
+            plus[k] = plus.get(k, 0) + c
+            minus[k] = minus.get(k, 0) + (-c if bit else c)
         for walk in (plus, minus):
-            walk = {h: c for h, c in walk.items() if c}
+            walk = {k: c for k, c in walk.items() if c}
             if walk:
                 walks.setdefault(frozenset(walk.items()), walk)
-    as_fractions = [{h: Fraction(c, denom) for h, c in w.items()} for w in walks.values()]
+    # a walk holds few distinct numerators; each becomes a Fraction once
+    numerators = {c for w in walks.values() for c in w.values()}
+    values = {c: Fraction(c, denom) for c in numerators}
+    as_fractions = [
+        {words[k]: values[c] for k, c in w.items()} for w in walks.values()
+    ]
     return _fiber_bound(exact, as_fractions, radius, tol)
 
 
@@ -558,42 +569,44 @@ class CauchyProfile:
 
 
 def _selfsim_sums(elements: list) -> tuple:
-    """``(D, vectors)`` of one ``_class_sums`` fold of selfsim elements:
-    per class and germ key, one numerator per element over D.  Every
-    term must have an empty source prefix, under which the walk refines
-    the walk of every subset (``st_singular_and_dist``); a term with a
-    nonempty one raises ``ValueError``."""
+    """``(D, chunks)`` of one ``_class_sums`` fold of selfsim elements: per
+    class, the list of its germ keys' numerator vectors, one numerator per
+    element over D.  Every term must have an empty source prefix, under
+    which the walk refines the walk of every subset
+    (``st_singular_and_dist``); a term with a nonempty one raises
+    ``ValueError``."""
     if any(s.beta.letters for f in elements for s, _ in f.terms):
         raise ValueError("the shared fold takes terms with an empty source prefix")
     denom, classes = _class_sums(elements, False)
-    return denom, (v for *_, sums in classes for v in sums.values())
+    return denom, (list(sums.values()) for *_, sums in classes)
 
 
 def _bundle_sums(elements: list) -> tuple:
-    """``(D, vectors)`` of one ``_fiber_sums`` fold of bundle elements at
+    """``(D, chunks)`` of one ``_fiber_sums`` fold of bundle elements at
     ``stratum_units`` of all of them, which meet every stratum of each
-    subset (``bundle_singular_and_dist``): per unit and arrow, one
-    numerator per element over D."""
+    subset (``bundle_singular_and_dist``): per unit, the list of its
+    arrows' numerator vectors, one numerator per element over D."""
     denom, tables = _fiber_sums(elements, stratum_units(tuple(elements)))
-    return denom, (v for t in tables for v in t.values())
+    return denom, ([nums for _, nums in t] for t in tables)
 
 
-def _sup_dists(denom: int, vectors: Iterable, size: int) -> list[list[Fraction]]:
+def _sup_dists(denom: int, chunks: Iterable, size: int) -> list[list[Fraction]]:
     """Entry [i][j] is the largest |v[i] - v[j]| / denom over the numerator
-    vectors of ``size`` elements.  Where both entries are zero the pair
-    gains nothing, so each vector is read from its nonzero entries."""
+    vectors v of ``size`` elements, which come in chunks (lists)."""
     best = [[0] * size for _ in range(size)]
-    for v in vectors:
-        for i, x in enumerate(v):
-            if x:
-                row = best[i]
-                for j, y in enumerate(v):
-                    if abs(x - y) > row[j]:
-                        row[j] = abs(x - y)
-    return [
-        [Fraction(max(best[i][j], best[j][i]), denom) for j in range(size)]
-        for i in range(size)
-    ]
+    for chunk in chunks:
+        if not chunk:
+            continue
+        columns = list(zip(*chunk))
+        for i in range(size):
+            for j in range(i + 1, size):
+                gaps = map(abs, map(sub, columns[i], columns[j]))
+                best[i][j] = max(best[i][j], *gaps)
+    dists = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            dists[i][j] = dists[j][i] = Fraction(best[i][j], denom)
+    return dists
 
 
 def cauchy_profile(
@@ -640,7 +653,7 @@ def cauchy_profile(
     for i, n in enumerate(idx):
         for j, m in enumerate(idx[i + 1:], i + 1):
             est = bound([(elts[n], 1), (elts[m], -1)], radius, tol)
-            pi_triv = totals[n] - totals[m]
-            rows.append(CauchyRow(n, m, sups[i + 1][j + 1], est.upper, est.lower, pi_triv))
+            sup, pi_triv = sups[i + 1][j + 1], totals[n] - totals[m]
+            rows.append(CauchyRow(n, m, sup, est.upper, est.lower, pi_triv))
     limit_rows = tuple(LimitRow(n, sups[i + 1][0]) for i, n in enumerate(idx))
     return CauchyProfile(example, radius, tuple(rows), limit_rows, elts)

@@ -429,7 +429,8 @@ def test_fiber_sums_equal_oracle_differences(f, g):
             for a in arrows
             if a.unit == u
         }
-        got = {k: (Fraction(x, denom), Fraction(y, denom)) for k, (x, y) in table.items()}
+        assert len({k for k, _ in table}) == len(table)  # each arrow once
+        got = {k: (Fraction(x, denom), Fraction(y, denom)) for k, (x, y) in table}
         assert all(want.get(k, (0, 0)) == v for k, v in got.items())
         assert {k for k, v in want.items() if any(v)} <= set(got)
         diffs = {k: x - y for k, (x, y) in got.items() if x != y}
@@ -515,9 +516,11 @@ def test_conv_intersects_each_region_pair_once(monkeypatch):
     # intersection, not 72; a few distinct regions meet pairwise once each
     calls = []
     real = bundle_module.buset_intersect
-    monkeypatch.setattr(
-        bundle_module, "buset_intersect", lambda U, V: calls.append((U, V)) or real(U, V)
-    )
+    def recording(U, V):
+        calls.append((U, V))
+        return real(U, V)
+
+    monkeypatch.setattr(bundle_module, "buset_intersect", recording)
     bstein_conv(bundle_a(), bundle_bn(3))
     assert calls == [(WHOLE_SET, WHOLE_SET)]
     U, V = buset(zs={1, 2}), buset(eps=True, zs={2})

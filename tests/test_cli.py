@@ -308,7 +308,7 @@ CHECK_DEFECTS = [
 @pytest.mark.parametrize(
     "args, check, module, name, defect, detail",
     CHECK_DEFECTS,
-    ids=[("bundle-" if args == BUNDLE else "") + check for args, check, *_ in CHECK_DEFECTS],
+    ids=[("bundle-" if row[0] == BUNDLE else "") + row[1] for row in CHECK_DEFECTS],
 )
 def test_verify_check_fails_on_its_defect(
     monkeypatch, args, check, module, name, defect, detail
