@@ -48,7 +48,6 @@ from .steinberg import (
     st_eval,
     st_is_singular,
     st_open_witness,
-    st_sub,
     st_sup_dist,
 )
 from .syntax import parse_buset, parse_selt
@@ -88,7 +87,6 @@ __all__ = [
     "st_eval",
     "st_is_singular",
     "st_open_witness",
-    "st_sub",
     "st_sup_dist",
     "stein_H_norm_bound",
     "strongly_fixed_spectrum",

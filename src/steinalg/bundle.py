@@ -19,11 +19,11 @@ denominators once and sums one integer numerator per function per fiber
 arrow.  Its readers take it at one unit per stratum of ``stratum_units``
 (the strata are where every involved function has a constant table):
 ``bundle_sup_dist`` compares two functions, ``bundle_is_singular`` looks
-for a nonzero isolated arrow of one, ``bundle_singular_and_dist`` reads
-both facts for many functions against one reference in one fold, and
-``repnorm.bundle_norm_bound`` and ``repnorm.cauchy_profile`` sum or
-compare the numerators.  Evaluation, ``bstein_eval``, reads the fold at
-the unit of one arrow, over only the terms that can land on it.
+for a nonzero isolated arrow of one, ``bundle_fold`` hands the tables of
+many functions to ``repnorm.fold_readings``, which reads their verdicts
+and sup distances in one pass, and ``repnorm.bundle_norm_bound`` sums the
+numerators.  Evaluation, ``bstein_eval``, reads the fold at the unit of
+one arrow, over only the terms that can land on it.
 Everything here is exact: coefficients are fractions.
 """
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import sub
 from typing import Iterable, Optional, Union
 
 from .groups import FreeWord, H_GENS, W_ONE, sphere
@@ -511,12 +510,11 @@ def bundle_is_singular(f: BSteinElt) -> BundleVerdict:
     return BundleVerdict(True, None)
 
 
-def bundle_singular_and_dist(
-    ref: BSteinElt, elements: list[BSteinElt]
-) -> list[tuple[bool, Fraction]]:
-    """For each element f, ``bundle_is_singular(f).singular`` and
-    ``bundle_sup_dist(f, ref)``, read off one fold of ``[ref, *elements]``
-    over ``stratum_units`` of all of them.
+def bundle_fold(elements: list[BSteinElt]) -> tuple:
+    """``(D, chunks)``: one chunk per unit of ``stratum_units`` of all the
+    elements, ``(u.kind in _ISOLATED, numerator vectors)``, a vector per
+    arrow of ``_fiber_sums`` with one numerator per element over D.
+    ``repnorm.fold_readings`` reads the chunks.
 
     Those units meet every stratum of each subset of the elements.  A
     function's table at a unit depends only on the unit's kind and on
@@ -526,25 +524,17 @@ def bundle_singular_and_dist(
     this relation.  Units alike for all the elements are alike for every
     subset, as a subset has fewer regions, so each stratum of a subset
     is a union of strata of all the elements, and ``stratum_units`` of all
-    of them meets each of those.  Hence, for every f:
+    of them meets each of those.  Hence, for any two elements f and g:
 
-    - the tables of f and ref at these units are their tables on every
-      stratum of the pair, so the largest |entry of f - entry of ref|
-      over them is ``bundle_sup_dist(f, ref)``;
+    - the tables of f and g at these units are their tables on every
+      stratum of the pair, so the largest |entry of f - entry of g| over
+      them is ``bundle_sup_dist(f, g)``;
     - the x- and z-units among them meet every x- and z-stratum of f, so
       f has a nonzero entry at one of them exactly when
       ``bundle_is_singular`` finds a witness.
     """
-    units = stratum_units((ref, *elements))
-    denom, tables = _fiber_sums([ref, *elements], units)
-    best = [0] * len(elements)
-    nonsingular = [False] * len(elements)
-    for u, sums in zip(units, tables):
-        if not sums:
-            continue
-        base, *columns = zip(*(nums for _, nums in sums))
-        for i, column in enumerate(columns):
-            best[i] = max(best[i], *map(abs, map(sub, column, base)))
-            if u.kind in _ISOLATED and not nonsingular[i]:
-                nonsingular[i] = any(column)
-    return [(not n, Fraction(d, denom)) for n, d in zip(nonsingular, best)]
+    units = stratum_units(tuple(elements))
+    denom, tables = _fiber_sums(elements, units)
+    return denom, (
+        (u.kind in _ISOLATED, [nums for _, nums in t]) for u, t in zip(units, tables)
+    )

@@ -36,8 +36,8 @@ from .bundle import (
     bundle_a,
     bundle_chi,
     bundle_chiB,
+    bundle_fold,
     bundle_is_singular,
-    bundle_singular_and_dist,
     buset,
     buset_intersect,
     buset_union,
@@ -60,7 +60,7 @@ from .groups import (
     sphere,
     sphere_size,
 )
-from .repnorm import CauchyProfile, cauchy_profile, rho_estimate
+from .repnorm import CauchyProfile, cauchy_profile, fold_readings, rho_estimate
 from .selfsim import (
     EPS,
     Germ,
@@ -87,9 +87,9 @@ from .steinberg import (
     st_chi_cylinder,
     st_conv,
     st_evaluator,
+    st_fold,
     st_is_singular,
     st_open_witness,
-    st_singular_and_dist,
 )
 from .syntax import ParseError, parse_buset, parse_selt
 
@@ -231,20 +231,27 @@ def _selfsim_germ_law(rng: random.Random, checks: list) -> None:
 
 def _selfsim_support(achib: SteinElt, checks: list) -> None:
     verdict = st_is_singular(achib)
+    bad = "" if verdict.singular else "a*chiB not singular"
+    if len(verdict.strata) != 8:
+        bad = bad or f"support table has {len(verdict.strata)} strata, not 8"
     names = set()
-    ok = verdict.singular and len(verdict.strata) == 8
     for s in verdict.strata:
-        ok = ok and not s.interior and len(s.pattern) == 1
-        ok = ok and s.pattern[0][0] == "gen" and s.pattern[0][1] == "y"
-        expect = Fraction(1) if str(s.base.g.f) in ("1", "ab") else Fraction(-1)
-        ok = ok and s.value == expect
-        names.add((s.pattern[0][2], str(s.base.g.f)))
-    ok = ok and names == {(ch, t) for ch in (1, 2) for t in ("1", "a", "b", "ab")}
+        pattern, f = s.pattern, str(s.base.g.f)
+        expect = Fraction(1) if f in ("1", "ab") else Fraction(-1)
+        if s.interior or len(pattern) != 1 or pattern[0][:2] != ("gen", "y"):
+            bad = bad or f"stratum of [{f}] on pattern {pattern}"
+        elif s.value != expect:
+            bad = bad or f"[{f},y{pattern[0][2]}] has value {s.value}, not {expect}"
+        else:
+            names.add((pattern[0][2], f))
+    wanted = {(ch, f) for ch in (1, 2) for f in ("1", "a", "b", "ab")}
+    for ch, f in sorted(wanted - names):
+        bad = bad or f"no stratum [{f},y{ch}]"
     _check(
         checks,
         "support-table",
-        ok,
-        "a*chiB singular; support table = four-germ family "
+        not bad,
+        bad or "a*chiB singular; support table = four-germ family "
         "[1,y],[a,y],[b,y],[ab,y] over both channels, values +1,-1,-1,+1",
     )
 
@@ -663,38 +670,35 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
     rng = random.Random(seed)
     checks: list = []
     profile = cauchy_profile(indices, example, radius, tol) if indices else None
-    # the profile builds each b_n; a, a*chiB and each a*b_n are built once and
-    # shared by the checks
     if example == "selfsim":
         _selfsim_identities(rng, checks)
         _selfsim_germ_law(rng, checks)
-        if indices:
-            a = st_a()
-            achib = st_conv(a, st_chiB())
-            abn = {n: st_conv(a, b) for n, b in profile.elements.items()}
-            # one fold gives every a*b_n's verdict and sup distance to a*chiB,
-            # and each a*b_n's witness and evaluator are made once
-            folded = dict(zip(abn, st_singular_and_dist(achib, list(abn.values()))))
-            witnesses = {n: st_open_witness(prod) for n, prod in abn.items()}
-            abn_at = {n: st_evaluator(prod) for n, prod in abn.items()}
-            _selfsim_support(achib, checks)
-            _selfsim_values(
-                st_evaluator(achib), abn_at, folded, profile.limit_rows, rng, checks
-            )
-            _selfsim_witness(achib, abn_at, witnesses, rng, checks)
-            _selfsim_verdicts(a, folded, witnesses, rng, checks)
-            _selfsim_effectiveness(rng, checks)
+        a, chi, conv, fold = st_a(), st_chiB, st_conv, st_fold
     else:
         _bundle_identities(rng, checks)
-        if indices:
-            achib = bstein_conv(bundle_a(), bundle_chiB())
-            bn = profile.elements
-            abn = [bstein_conv(bundle_a(), b) for b in bn.values()]
-            # one fold gives every a*b_n's verdict and sup distance to a*chiB
-            folded = dict(zip(bn, bundle_singular_and_dist(achib, abn)))
-            _bundle_values(achib, bn, checks)
-            _bundle_rates(folded, profile.limit_rows, checks)
-            _bundle_verdicts(achib, folded, rng, checks)
+        a, chi, conv, fold = bundle_a(), bundle_chiB, bstein_conv, bundle_fold
+    if indices:
+        # a*chiB and each a*b_n are built once, from the profile's b_n, and
+        # one fold gives every a*b_n's verdict and sup distance to a*chiB
+        achib = conv(a, chi())
+        abn = {n: conv(a, b) for n, b in profile.elements.items()}
+        (dists,), singular = fold_readings(fold, [achib, *abn.values()], 1)
+        folded = {n: (singular[p], dists[p]) for p, n in enumerate(abn, 1)}
+    if indices and example == "selfsim":
+        # each a*b_n's witness and evaluator are made once
+        witnesses = {n: st_open_witness(prod) for n, prod in abn.items()}
+        abn_at = {n: st_evaluator(prod) for n, prod in abn.items()}
+        _selfsim_support(achib, checks)
+        _selfsim_values(
+            st_evaluator(achib), abn_at, folded, profile.limit_rows, rng, checks
+        )
+        _selfsim_witness(achib, abn_at, witnesses, rng, checks)
+        _selfsim_verdicts(a, folded, witnesses, rng, checks)
+        _selfsim_effectiveness(rng, checks)
+    elif indices:
+        _bundle_values(achib, profile.elements, checks)
+        _bundle_rates(folded, profile.limit_rows, checks)
+        _bundle_verdicts(achib, folded, rng, checks)
     cauchy = _cauchy_section(profile, checks) if indices else None
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -743,18 +747,22 @@ def scatter(example, indices, radius, tol, seed, out, fmt) -> None:
             }
         )
     checks: list = []
-    uppers = [r["upper"] for r in rows]
+    pairs = zip(rows, rows[1:])
+    flat = [(r["n"], s["n"]) for r, s in pairs if not r["upper"] > s["upper"]]
+    above = [r["n"] for r in rows if not r["lower"] <= r["upper"] + 1e-12]
     _check(
         checks,
         "upper-strictly-decreasing",
-        all(x > y for x, y in zip(uppers, uppers[1:])),
-        "analytic upper bounds strictly decrease along the index list",
+        not flat,
+        "upper bound at n={1} not below n={0}".format(*flat[0]) if flat
+        else "analytic upper bounds strictly decrease along the index list",
     )
     _check(
         checks,
         "lower-below-upper",
-        all(r["lower"] <= r["upper"] + 1e-12 for r in rows),
-        "certified lower bounds stay below the analytic uppers",
+        not above,
+        f"lower bound above the upper at n={above[0]}" if above
+        else "certified lower bounds stay below the analytic uppers",
     )
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -61,9 +61,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .bundle import BSteinElt, _fiber_sums, bundle_bn, bundle_chiB, stratum_units
+from .bundle import (
+    BSteinElt, _fiber_sums, bundle_bn, bundle_chiB, bundle_fold, stratum_units
+)
 from .groups import FreeWord, H_GENS, sphere_size
-from .steinberg import REGION_FULL, SteinElt, _class_sums, st_bn, st_chiB
+from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_fold
 
 
 # ---------------------------------------------------------------------------
@@ -568,45 +570,34 @@ class CauchyProfile:
     elements: Mapping[int, Union[SteinElt, BSteinElt]]
 
 
-def _selfsim_sums(elements: list) -> tuple:
-    """``(D, chunks)`` of one ``_class_sums`` fold of selfsim elements: per
-    class, the list of its germ keys' numerator vectors, one numerator per
-    element over D.  Every term must have an empty source prefix, under
-    which the walk refines the walk of every subset
-    (``st_singular_and_dist``); a term with a nonempty one raises
-    ``ValueError``."""
-    if any(s.beta.letters for f in elements for s, _ in f.terms):
-        raise ValueError("the shared fold takes terms with an empty source prefix")
-    denom, classes = _class_sums(elements, False)
-    return denom, (list(sums.values()) for *_, sums in classes)
+def fold_readings(fold, elements: list, refs: int) -> tuple:
+    """What both models' facts rest on, read off one vector fold of
+    ``elements``: ``st_fold`` or ``bundle_fold``, whose chunks refine
+    those of each subset of the elements (their docstrings prove it).
 
-
-def _bundle_sums(elements: list) -> tuple:
-    """``(D, chunks)`` of one ``_fiber_sums`` fold of bundle elements at
-    ``stratum_units`` of all of them, which meet every stratum of each
-    subset (``bundle_singular_and_dist``): per unit, the list of its
-    arrows' numerator vectors, one numerator per element over D."""
-    denom, tables = _fiber_sums(elements, stratum_units(tuple(elements)))
-    return denom, ([nums for _, nums in t] for t in tables)
-
-
-def _sup_dists(denom: int, chunks: Iterable, size: int) -> list[list[Fraction]]:
-    """Entry [i][j] is the largest |v[i] - v[j]| / denom over the numerator
-    vectors v of ``size`` elements, which come in chunks (lists)."""
-    best = [[0] * size for _ in range(size)]
-    for chunk in chunks:
+    Returns ``(dists, singular)``.  ``dists[j][i]`` is the exact sup of
+    |e_i - e_j| for each j < ``refs`` and every i; ``singular[i]`` says
+    whether e_i is zero on every open chunk.  Pairs of elements past
+    ``refs`` are not compared."""
+    denom, chunks = fold(elements)
+    size = len(elements)
+    best = [[0] * size for _ in range(refs)]
+    nonzero = [False] * size
+    for is_open, chunk in chunks:
         if not chunk:
             continue
         columns = list(zip(*chunk))
-        for i in range(size):
-            for j in range(i + 1, size):
+        for j in range(refs):
+            for i in range(j + 1, size):
                 gaps = map(abs, map(sub, columns[i], columns[j]))
-                best[i][j] = max(best[i][j], *gaps)
-    dists = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            dists[i][j] = dists[j][i] = Fraction(best[i][j], denom)
-    return dists
+                best[j][i] = max(best[j][i], *gaps)
+        if is_open:
+            nonzero = [n or any(c) for n, c in zip(nonzero, columns)]
+    dists = [
+        [Fraction(best[min(i, j)][max(i, j)], denom) for i in range(size)]
+        for j in range(refs)
+    ]
+    return dists, [not n for n in nonzero]
 
 
 def cauchy_profile(
@@ -622,14 +613,13 @@ def cauchy_profile(
     b_n - b_m, and the coefficient sum of b_n - b_m.  No difference is
     built: the norm bound takes the signed parts [(b_n, 1), (b_m, -1)],
     as the folds do, and the coefficient sum is that of b_n minus that of
-    b_m, each taken once per element.  Limit rows record
-    the sup distance to the indicator of the y-rooted half.  Every sup
-    distance, pair and limit, is read off one vector fold of [chi_B, b_n
-    for each index], whose classes or units refine those of each pair
-    (the proofs are in ``st_singular_and_dist`` and
-    ``bundle_singular_and_dist``), so it equals ``st_sup_dist`` or
-    ``bundle_sup_dist`` of that pair.  Pointwise
-    the b_n converge (sup distances vanish), and the norm rows tend to 0
+    b_m, each taken once per element.  Limit rows record the sup distance
+    to the indicator of the y-rooted half.  ``fold_readings`` reads every
+    sup distance, pair and limit, off one vector fold of [chi_B, b_n for
+    each index], whose classes or units refine those of each pair (the
+    proofs are in ``st_fold`` and ``bundle_fold``), so it equals
+    ``st_sup_dist`` or ``bundle_sup_dist`` of that pair.  Pointwise the
+    b_n converge (sup distances vanish), and the norm rows tend to 0
     as well: the certified upper bound of a pair is haagerup_bound(n) +
     haagerup_bound(m), so the b_n are Cauchy in the reduced norm.
     """
@@ -638,16 +628,16 @@ def cauchy_profile(
         if not isinstance(n, int) or n < 1:
             raise ValueError("sphere indices must be positive integers")
     if example == "selfsim":
-        build, chi, fold, bound = st_bn, st_chiB, _selfsim_sums, stein_H_norm_bound
+        build, chi, fold, bound = st_bn, st_chiB, st_fold, stein_H_norm_bound
         at = 1  # a term is (s, c)
     elif example == "bundle":
-        build, chi, fold = bundle_bn, bundle_chiB, _bundle_sums
+        build, chi, fold = bundle_bn, bundle_chiB, bundle_fold
         bound, at = bundle_norm_bound, 2  # a term is (bit, h, c, region)
     else:
         raise ValueError(f"unknown example {example!r}")
     elts = {n: build(n) for n in idx}
     # position 0 of the fold is chi_B, position p the p-th index
-    sups = _sup_dists(*fold([chi(), *elts.values()]), len(idx) + 1)
+    sups, _ = fold_readings(fold, [chi(), *elts.values()], len(idx) + 1)
     totals = {n: sum(t[at] for t in f.terms) for n, f in elts.items()}
     rows = []
     for i, n in enumerate(idx):

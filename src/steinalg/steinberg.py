@@ -28,12 +28,12 @@ precisely when no nonzero stratum is interior.
 
 One lazy fold over these classes, ``_class_sums``, sums integer
 numerators per germ key, one per element it is given, over one common
-denominator.  Three readers take its sums: ``st_support_strata`` turns
-each nonzero sum of one element into a stratum (only it asks the fold for
-the member lists), ``st_sup_dist`` keeps the largest |f - g| of two, and
-``st_singular_and_dist`` reads many elements with empty source prefixes
-in one walk: each one's singular verdict and its sup distance to a
-reference element.
+denominator.  ``st_support_strata`` turns each nonzero sum of one element
+into a stratum (only it asks the fold for the member lists), and
+``st_sup_dist`` keeps the largest |f - g| of two.  ``st_fold`` hands the
+classes of many elements with empty source prefixes to
+``repnorm.fold_readings``, which reads each one's singular verdict and
+its sup distances to the first few in one walk.
 
 The fold and ``st_evaluator`` key terms by homomorphism images wherever
 no source prefix reaches (``_germ_keys``).  When every term defined at a
@@ -111,14 +111,6 @@ def st_make(
     out.sort(key=lambda t: t[0].sort_key())
     # a region carries no information on the zero element
     return SteinElt(tuple(out), region if out else REGION_FULL)
-
-
-def st_sub(f: SteinElt, g: SteinElt) -> SteinElt:
-    """f - g in one merge of f's terms and g's negated terms."""
-    if f.region != g.region and f.terms and g.terms:
-        raise ValueError("cannot add elements restricted to different regions")
-    negated = tuple((s, -c) for s, c in g.terms)
-    return st_make(f.terms + negated, f.region if f.terms else g.region)
 
 
 def st_conv(f: SteinElt, g: SteinElt) -> SteinElt:
@@ -522,18 +514,18 @@ def st_is_singular(f: SteinElt) -> SingularVerdict:
     return SingularVerdict(interior is None, strata, interior, witness)
 
 
-def st_singular_and_dist(
-    ref: SteinElt, elements: list[SteinElt]
-) -> list[tuple[bool, Fraction]]:
-    """For each element f, ``st_is_singular(f).singular`` and
-    ``st_sup_dist(f, ref)``, read off one fold of ``[ref, *elements]``.
+def st_fold(elements: list[SteinElt]) -> tuple:
+    """``(D, chunks)``: one chunk per class of ``_class_sums(elements,
+    False)``, ``(interior, numerator vectors)``, a vector per germ key
+    with one numerator per element over D.  ``repnorm.fold_readings``
+    reads the chunks.
 
     Every term must have an empty source prefix, as the terms of a, b_n,
     chi_B and their products do; a term with a nonempty one raises
-    ``ValueError``.  f is singular when no interior class has a nonzero
-    entry of f, and its distance is the largest |entry of f - entry of
-    ref| over all classes.  Both equal the readings of f's own walk
-    (and of the walk of [f, ref]), because the shared walk refines it:
+    ``ValueError``.  Then the classes refine the walk of every subset of
+    the elements, so an element is singular exactly when it is zero on
+    every interior class, and the sup of |f - g| over the classes is
+    ``st_sup_dist(f, g)`` for any two of them:
 
     - No term is alive below the root and every term is defined at every
       word, so in any of these walks a node settles exactly when it is
@@ -556,18 +548,7 @@ def st_singular_and_dist(
     with a nonzero entry of f exists in the shared walk exactly when one
     does in f's own.
     """
-    parts = [ref, *elements]
-    if any(s.beta.letters for f in parts for s, _ in f.terms):
+    if any(s.beta.letters for f in elements for s, _ in f.terms):
         raise ValueError("the shared fold takes terms with an empty source prefix")
-    denom, classes = _class_sums(parts, False)
-    best = [0] * len(elements)
-    nonsingular = [False] * len(elements)
-    for _, _, interior, sums in classes:
-        if not sums:
-            continue
-        base, *columns = zip(*sums.values())
-        for i, column in enumerate(columns):
-            best[i] = max(best[i], max(abs(x - y) for x, y in zip(column, base)))
-            if interior and not nonsingular[i]:
-                nonsingular[i] = any(column)
-    return [(not n, Fraction(d, denom)) for n, d in zip(nonsingular, best)]
+    denom, classes = _class_sums(elements, False)
+    return denom, ((interior, list(sums.values())) for _, _, interior, sums in classes)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from steinalg import bundle as bundle_module, repnorm
+from steinalg import bundle as bundle_module
 from steinalg.groups import W_ONE, free_word, sphere
 from steinalg.bundle import (
     B_ZERO,
@@ -31,8 +31,8 @@ from steinalg.bundle import (
     bundle_bn,
     bundle_chi,
     bundle_chiB,
+    bundle_fold,
     bundle_is_singular,
-    bundle_singular_and_dist,
     bundle_sup_dist,
     buset,
     buset_intersect,
@@ -44,6 +44,7 @@ from steinalg.bundle import (
     uz,
     U_EPS,
 )
+from steinalg.repnorm import fold_readings
 
 # ---------------------------------------------------------------------------
 # oracles and strategies
@@ -466,16 +467,18 @@ b_lists = st.lists(b_elts, max_size=4)
 ])
 def test_shared_fold_equals_pair_readers(ref, fs):
     # one fold of [ref, *fs] at the stratum units of all of them reads
-    # every f's verdict and distance to ref as its own folds do
-    want = [(bundle_is_singular(f).singular, bundle_sup_dist(f, ref)) for f in fs]
-    assert bundle_singular_and_dist(ref, fs) == want
+    # every element's verdict and distance to ref as its own folds do
+    parts = [ref, *fs]
+    (dists,), singular = fold_readings(bundle_fold, parts, 1)
+    assert singular == [bundle_is_singular(f).singular for f in parts]
+    assert dists == [bundle_sup_dist(f, ref) for f in parts]
 
 
 @given(st.lists(b_elts, min_size=1, max_size=4))
 @example([bundle_chiB(), bundle_bn(1), bundle_bn(2), bundle_a()])
 def test_shared_sup_table_matches_each_pair(fs):
     # the Cauchy profile's sups: one fold of every element, read pairwise
-    sups = repnorm._sup_dists(*repnorm._bundle_sums(fs), len(fs))
+    sups, _ = fold_readings(bundle_fold, fs, len(fs))
     for i, f in enumerate(fs):
         for j, g in enumerate(fs):
             assert sups[i][j] == bundle_sup_dist(f, g)

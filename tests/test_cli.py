@@ -14,10 +14,12 @@ from click.testing import CliRunner
 
 import steinalg
 
-from steinalg import bundle, cli, repnorm, steinberg
-from steinalg.bundle import barrow, bstein, bundle_a, bundle_bn, bundle_chiB
+from steinalg import bundle, cli, repnorm, selfsim, steinberg
+from steinalg.bundle import (
+    barrow, bstein, bstein_conv, bundle_a, bundle_bn, bundle_chiB
+)
 from steinalg.cli import main
-from steinalg.groups import free_word
+from steinalg.groups import GElt, free_word
 from steinalg.repnorm import LimitRow
 from steinalg.steinberg import st_a, st_bn, st_chiB, st_conv
 
@@ -186,20 +188,44 @@ def test_verify_computes_each_limit_distance_once(monkeypatch):
     for module in (steinberg, bundle):
         name = "st_sup_dist" if module is steinberg else "bundle_sup_dist"
         _recording(monkeypatch, module, name, dists)
-    real_fold = repnorm._class_sums
+    for module, name in ((steinberg, "_class_sums"), (bundle, "_fiber_sums")):
+        real = getattr(module, name)
 
-    def fold(elements, members):
-        folds.append(elements)
-        return real_fold(elements, members)
+        def fold(elements, arg, real=real):
+            folds.append(elements)
+            return real(elements, arg)
 
-    monkeypatch.setattr(repnorm, "_class_sums", fold)
-    res = run("verify", "--indices", "1,2")
+        monkeypatch.setattr(module, name, fold)
+    for example, a, b, chi, conv in (
+        ("selfsim", st_a(), st_bn, st_chiB(), st_conv),
+        ("bundle", bundle_a(), bundle_bn, bundle_chiB(), bstein_conv),
+    ):
+        folds.clear()
+        res = run("verify", "--example", example, "--indices", "1,2")
+        assert res.exit_code == 0
+        assert dists == []
+        # one fold of chiB, b_1 and b_2, and one of a*chiB, a*b_1 and a*b_2
+        profile = [chi, b(1), b(2)]
+        products = [conv(a, f) for f in profile]
+        assert [folds.count(profile), folds.count(products)] == [1, 1]
+
+
+@pytest.mark.parametrize("example", ["selfsim", "bundle"])
+def test_verify_reads_two_folds(monkeypatch, example):
+    # the Cauchy profile reads the sups of chiB and b_1..b_3 pairwise, and
+    # verify reads a*chiB and every a*b_n against a*chiB only
+    refs = []
+    real = repnorm.fold_readings
+
+    def readings(fold, elements, k):
+        refs.append(k)
+        return real(fold, elements, k)
+
+    for module in (cli, repnorm):
+        monkeypatch.setattr(module, "fold_readings", readings)
+    res = run("verify", "--example", example, "--indices", "1,2,3")
     assert res.exit_code == 0
-    assert dists == []
-    assert folds == [[st_chiB(), st_bn(1), st_bn(2)]]
-    res = run("verify", "--example", "bundle", "--indices", "1,2")
-    assert res.exit_code == 0
-    assert dists == []
+    assert refs == [4, 1]
 
 
 def test_verify_builds_each_selfsim_product_once(monkeypatch):
@@ -245,9 +271,7 @@ def test_verify_folds_and_keys_each_selfsim_product_once(monkeypatch):
             keyed.append(elts)
         return real_images(elts, ids)
 
-    # the Cauchy profile folds through its own reference
-    for module in (steinberg, repnorm):
-        monkeypatch.setattr(module, "_class_sums", fold)
+    monkeypatch.setattr(steinberg, "_class_sums", fold)
     monkeypatch.setattr(steinberg, "_key_images", images)
     res = run("verify", "--indices", "1,2")
     assert res.exit_code == 0
@@ -287,22 +311,87 @@ def _without_z(kinds):
     return tuple(k for k in kinds if k != "z")
 
 
+def _key_without_restriction(real):
+    return lambda s, w: real(s, w)[:2]
+
+
+def _y_shift_reads_n(real):
+    # acts letter by letter, as the real action does, but a y-letter of
+    # either channel moves by n
+    def acted(g, letters):
+        imgs = ()
+        for i, x in enumerate(letters):
+            if g.is_identity():
+                return imgs + letters[i:], g
+            if x.family == "y":
+                g = GElt(g.h, g.f, g.n, g.n)
+            (img,), g = real(g, (x,))
+            imgs += (img,)
+        return imgs, g
+
+    return acted
+
+
+def _without_y2(families):
+    return tuple(f for f in families if f != ("y", 2))
+
+
+def _moves_nothing(real):
+    return lambda g, x: x
+
+
+def _nonzero_pi_triv(real):
+    def profile(*args):
+        prof = real(*args)
+        first = dataclasses.replace(prof.rows[0], pi_triv=Fraction(1, 4))
+        return dataclasses.replace(prof, rows=(first, *prof.rows[1:]))
+
+    return profile
+
+
 SELFSIM = ("verify", "--indices", "1,2")
 BUNDLE = ("verify", "--example", "bundle", "--indices", "1,2")
+SCATTER = ("scatter", "--indices", "1,2")
 
 # ROADMAP item 11: each row patches a plausible defect into one check and
 # asserts that the check fails while the unpatched run passes
 CHECK_DEFECTS = [
+    (SELFSIM, "germ-collapse", cli, "germ_key", _key_without_restriction,
+     "germ law fails for (C,1,0,0), (D,1,0,0) at 1"),
+    (SELFSIM, "semigroup-identities", selfsim, "_act_letters", _y_shift_reads_n,
+     "(1,0)y=y' fails at y2[-20]"),
+    (SELFSIM, "support-table", steinberg, "GEN_FAMILIES", _without_y2,
+     "support table has 4 strata, not 8"),
     (SELFSIM, "open-witness", cli, "st_open_witness", _double_floor,
      "witness value |1/4| != floor 1/2 for a*b1"),
     (SELFSIM, "singularity-verdicts", steinberg, "_class_sums", _no_interior,
      "a*b1 not recognized as nonsingular with witness"),
+    (SELFSIM, "effectiveness", selfsim, "act_letter", _moves_nothing,
+     "witness letter not moved by (cD,abb,2,-1)"),
+    (SELFSIM, "cauchy-profile", cli, "cauchy_profile", _nonzero_pi_triv,
+     "pi_triv part of b1-b2 nonzero"),
     (BUNDLE, "value-table", cli, "bstein_eval", _bit_blind_over_y,
      "(a*chiB)((1,1;y[2])) != -1"),
     # the mutant of ROADMAP item 7: a verdict that skips the z-units
     (BUNDLE, "singularity-verdicts", bundle, "_ISOLATED", _without_z,
      "a*b1 not nonsingular with isolated witness"),
+    (BUNDLE, "cauchy-profile", cli, "cauchy_profile", _nonzero_pi_triv,
+     "pi_triv part of b1-b2 nonzero"),
 ]
+
+# the checks that the tests named here make fail: each of them patches more
+# than one attribute, fails two checks at once or runs other arguments
+FAILED_ELSEWHERE = {
+    (SELFSIM, "value-table"): "test_verify_value_table_fails_on_a_wrong_limit_distance",
+    (BUNDLE, "scattering-rate"):
+        "test_verify_scattering_rate_fails_on_a_wrong_limit_distance",
+    (BUNDLE, "convolution-identities"):
+        "test_verify_bundle_identities_catch_a_broken_star",
+    (SCATTER, "upper-strictly-decreasing"):
+        "test_scatter_fails_on_upper_bounds_that_do_not_decrease",
+    (SCATTER, "lower-below-upper"):
+        "test_scatter_fails_on_a_lower_bound_above_the_upper",
+}
 
 
 @pytest.mark.parametrize(
@@ -324,6 +413,20 @@ def test_verify_check_fails_on_its_defect(
     assert checks[check]["status"] == "fail"
     assert checks[check]["detail"] == detail
     assert [c for c, v in checks.items() if v["status"] == "fail"] == [check]
+
+
+def test_every_check_has_a_failing_control():
+    # every check id that verify (both examples) and scatter emit is made
+    # to fail by a row of CHECK_DEFECTS or by the test named for it
+    rows = {(args, check) for args, check, *_ in CHECK_DEFECTS}
+    assert len(rows) == len(CHECK_DEFECTS) and not rows & FAILED_ELSEWHERE.keys()
+    assert all(callable(globals().get(name)) for name in FAILED_ELSEWHERE.values())
+    emitted = {
+        (args, c["id"])
+        for args in (SELFSIM, BUNDLE, SCATTER)
+        for c in json.loads(run(*args).stdout)["checks"]
+    }
+    assert emitted == rows | FAILED_ELSEWHERE.keys()
 
 
 @pytest.mark.parametrize(
@@ -376,22 +479,6 @@ def test_verify_scattering_rate_fails_on_a_wrong_limit_distance(monkeypatch):
     assert checks["scattering-rate"]["status"] == "fail"
     assert checks["scattering-rate"]["detail"] == "sup|b2 - chiB| != 1/12"
     assert checks["cauchy-profile"]["status"] == "fail"
-
-
-def test_verify_cauchy_profile_fails_on_a_nonzero_pi_triv(monkeypatch):
-    def edit(prof):
-        first = dataclasses.replace(prof.rows[0], pi_triv=Fraction(1, 4))
-        return dataclasses.replace(prof, rows=(first, *prof.rows[1:]))
-
-    _doctor_profile(monkeypatch, edit)
-    for example in ("selfsim", "bundle"):
-        res = run("verify", "--example", example, "--indices", "1,2")
-        assert res.exit_code == 1
-        check = next(
-            c for c in json.loads(res.stdout)["checks"] if c["id"] == "cauchy-profile"
-        )
-        assert check["status"] == "fail"
-        assert check["detail"] == "pi_triv part of b1-b2 nonzero"
 
 
 def test_verify_builds_each_bundle_product_once(monkeypatch):
@@ -495,8 +582,9 @@ def test_scatter_fails_on_a_lower_bound_above_the_upper(monkeypatch):
     assert res.exit_code == 1
     report = json.loads(res.stdout)
     assert report["rows"][0]["lower"] == 1.25
-    status = {c["id"]: c["status"] for c in report["checks"]}
-    assert status["lower-below-upper"] == "fail"
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks["lower-below-upper"]["status"] == "fail"
+    assert checks["lower-below-upper"]["detail"] == "lower bound above the upper at n=1"
 
 
 def test_scatter_fails_on_upper_bounds_that_do_not_decrease(monkeypatch):
@@ -510,9 +598,12 @@ def test_scatter_fails_on_upper_bounds_that_do_not_decrease(monkeypatch):
     assert res.exit_code == 1
     report = json.loads(res.stdout)
     assert [r["upper"] for r in report["rows"]] == [1.0, 1.0]
-    status = {c["id"]: c["status"] for c in report["checks"]}
-    assert status["upper-strictly-decreasing"] == "fail"
-    assert status["lower-below-upper"] == "pass"
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks["upper-strictly-decreasing"]["status"] == "fail"
+    assert checks["upper-strictly-decreasing"]["detail"] == (
+        "upper bound at n=2 not below n=1"
+    )
+    assert checks["lower-below-upper"]["status"] == "pass"
 
 
 def test_scatter_sorts_and_deduplicates_the_index_list():

@@ -23,6 +23,10 @@ read as an attribute somewhere in the package or in
 check goes by name, so a method whose name another class also uses
 passes; a method that only tests call is dead surface.
 
+Every name the package exports (``__all__`` of its ``__init__``) is used
+by another package module or listed in README's "Public API" section, so
+an export that nothing reaches must be documented as public API.
+
 Every layer the benchmark traces (``LAYERS`` in ``bench/layertrace.py``)
 is a callable of its module, so a deletion that would leave the benchmark
 tracing an absent name fails here, and a bundle ``verify`` still calls
@@ -38,6 +42,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,20 +93,27 @@ def defined_names(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
 
 
+def loaded(tree: ast.Module) -> set[str]:
+    """The names a module loads: as a name, an attribute or a relative
+    import."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            used.update(a.name for a in node.names)
+    return used
+
+
 def unused_names(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each module-level definition the package never
     loads and does not export."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     used: set[str] = set()
     for tree in trees.values():
-        used |= exports(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.level:
-                used.update(a.name for a in node.names)
+        used |= exports(tree) | loaded(tree)
     return sorted(
         f"{mod}.{name}"
         for mod, tree in trees.items()
@@ -109,6 +121,26 @@ def unused_names(sources: dict[str, str]) -> list[str]:
         for name in defined_names(node)
         if name not in used
     )
+
+
+def api_list(readme: str) -> set[str]:
+    """The names in backticks on the bullets of README's "Public API"
+    section, continuation lines included."""
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    bullets, inside = [], False
+    for line in section.splitlines():
+        inside = line.startswith("- ") or (inside and line.startswith("  "))
+        if inside:
+            bullets.append(line)
+    return {name for line in bullets for name in re.findall(r"`(\w+)`", line)}
+
+
+def unlisted_exports(sources: dict[str, str], listed: set[str]) -> list[str]:
+    """Each name of the ``__init__``'s ``__all__`` that no other module
+    loads and ``listed`` does not name."""
+    others = [ast.parse(src) for mod, src in sources.items() if mod != "__init__"]
+    used = set().union(*map(loaded, others))
+    return sorted(exports(ast.parse(sources["__init__"])) - used - listed)
 
 
 def unused_methods(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
@@ -209,6 +241,25 @@ def test_every_module_level_name_is_used():
     assert unused_names(sample) == ["a.X", "a.h", "b.k"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unused_names(sources) == []
+
+
+def test_every_export_is_used_or_listed():
+    readme = (
+        "# pkg\n\n## Public API\n\nIntro naming `skipped`.\n\n"
+        "- a: `f`,\n  `g`\n- `h` (see `k`)\n  `m`\n\n  `indented`\n"
+        "## Next\n\n- `later`\n"
+    )
+    assert api_list(readme) == {"f", "g", "h", "k", "m"}
+    sample = {
+        "__init__": "from .a import f, g, h, u\n__all__ = ['f', 'g', 'h', 'u']\n",
+        "a": "def f(): pass\ndef g(): f()\ndef h(): pass\ndef u(): pass\n",
+        "b": "from .a import g\n",
+    }
+    assert unlisted_exports(sample, {"h"}) == ["u"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    listed = api_list((ROOT / "README.md").read_text())
+    assert listed <= exports(ast.parse(sources["__init__"]))
+    assert unlisted_exports(sources, listed) == []
 
 
 def test_every_method_is_used():

@@ -6,6 +6,8 @@ right element's terms, so the sum is finite and exact.  The word-class
 walk that stops at settled branches is checked against the full-depth
 walk, kept here as oracle_word_classes: every branch runs to the
 stabilization length, and only those full-length classes are open.
+st_sub builds a difference in one merge of both term lists, the oracle
+of linearity.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from steinalg import repnorm, steinberg
+from steinalg import steinberg
 from steinalg.groups import (
     GElt,
     KElt,
@@ -23,6 +25,7 @@ from steinalg.groups import (
     hom_pi,
     sphere,
 )
+from steinalg.repnorm import fold_readings
 from steinalg.selfsim import (
     EPS,
     FinWord,
@@ -61,11 +64,10 @@ from steinalg.steinberg import (
     st_conv,
     st_eval,
     st_evaluator,
+    st_fold,
     st_is_singular,
     st_make,
     st_open_witness,
-    st_singular_and_dist,
-    st_sub,
     st_sup_dist,
     st_support_strata,
 )
@@ -73,6 +75,14 @@ from steinalg.steinberg import (
 # ---------------------------------------------------------------------------
 # oracle and strategies
 # ---------------------------------------------------------------------------
+
+
+def st_sub(f, g):
+    """f - g in one merge of f's terms and g's negated terms."""
+    if f.region != g.region and f.terms and g.terms:
+        raise ValueError("cannot add elements restricted to different regions")
+    negated = tuple((s, -c) for s, c in g.terms)
+    return st_make(f.terms + negated, f.region if f.terms else g.region)
 
 
 def oracle_conv_at(f, g, gm: Germ):
@@ -489,9 +499,11 @@ stein_flat = st.builds(
 # a*chiB is singular and nonzero
 @example(a_chiB(), [st_bn(1), st_conv(st_a(), st_bn(1)), a_chiB(), SteinElt()])
 def test_shared_fold_matches_each_elements_own_fold(ref, elements):
-    got = st_singular_and_dist(ref, elements)
-    want = [(st_is_singular(f).singular, st_sup_dist(f, ref)) for f in elements]
-    assert got == want
+    # read against the first element only, as verify reads a*chiB
+    parts = [ref, *elements]
+    (dists,), singular = fold_readings(st_fold, parts, 1)
+    assert singular == [st_is_singular(f).singular for f in parts]
+    assert dists == [st_sup_dist(f, ref) for f in parts]
 
 
 @settings(max_examples=100, deadline=None)
@@ -499,7 +511,7 @@ def test_shared_fold_matches_each_elements_own_fold(ref, elements):
 @example([st_chiB(), st_bn(1), st_bn(2), st_conv(st_a(), st_bn(1))])
 def test_shared_sup_table_matches_each_pair(elements):
     # the Cauchy profile's sups: one fold of every element, read pairwise
-    sups = repnorm._sup_dists(*repnorm._selfsim_sums(elements), len(elements))
+    sups, _ = fold_readings(st_fold, elements, len(elements))
     for i, f in enumerate(elements):
         for j, g in enumerate(elements):
             assert sups[i][j] == st_sup_dist(f, g)
@@ -508,13 +520,11 @@ def test_shared_sup_table_matches_each_pair(elements):
 def test_shared_fold_rejects_source_prefixes():
     flat = st_conv(st_a(), st_bn(1))
     cut = st_chi_cylinder(finword(yl(1, 0)))
-    with pytest.raises(ValueError, match="empty source prefix"):
-        st_singular_and_dist(flat, [st_bn(1), cut])
-    with pytest.raises(ValueError, match="empty source prefix"):
-        st_singular_and_dist(cut, [flat])
-    with pytest.raises(ValueError, match="empty source prefix"):
-        repnorm._selfsim_sums([flat, cut])
-    assert st_singular_and_dist(SteinElt(), [SteinElt()]) == [(True, 0)]
+    for elements in ([flat, st_bn(1), cut], [cut, flat]):
+        with pytest.raises(ValueError, match="empty source prefix"):
+            st_fold(elements)
+    zeros = [SteinElt(), SteinElt()]
+    assert fold_readings(st_fold, zeros, 1) == ([[0, 0]], [True, True])
 
 
 # ---------------------------------------------------------------------------
