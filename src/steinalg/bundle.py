@@ -22,8 +22,9 @@ arrow.  Its readers take it at one unit per stratum of ``stratum_units``
 for a nonzero isolated arrow of one, ``bundle_fold`` hands the tables of
 many functions to ``repnorm.fold_readings``, which reads their verdicts
 and sup distances in one pass, and ``repnorm.bundle_norm_bound`` sums the
-numerators.  Evaluation, ``bstein_eval``, reads the fold at the unit of
-one arrow, over only the terms that can land on it.
+numerators into walks, which the norm layer takes as they are, over D.
+Evaluation, ``bstein_eval``, reads the fold at the unit of one arrow,
+over only the terms that can land on it.
 Everything here is exact: coefficients are fractions.
 """
 

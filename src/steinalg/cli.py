@@ -735,7 +735,7 @@ def scatter(example, indices, radius, tol, seed, out, fmt) -> None:
     """
     rows = []
     for n in indices:
-        est = rho_estimate(sphere(n), radius=radius, tol=tol)
+        est = rho_estimate(n, radius=radius, tol=tol)
         rows.append(
             {
                 "n": n,

@@ -16,9 +16,11 @@ isotropy, and left-regular walks of the free factor elsewhere.
 bound; ``stein_H_norm_bound`` and ``bundle_norm_bound`` only collect them.
 Both take signed parts ``[(element, sign), ...]``, as the folds do, so a
 difference f - g is bounded as ``[(f, 1), (g, -1)]`` and never built.
-``rho_estimate`` takes only whole spheres, the walks of the sphere
-averages b_n, and bounds them above by Haagerup's inequality; every
-other walk goes through ``_fiber_bound``.
+A walk is what the folds hand over: a map from letter strings to
+integer numerators over one denominator.  ``rho_estimate`` takes a
+sphere index n, builds the walk of the sphere average b_n itself and
+bounds it above by Haagerup's inequality; every other walk goes through
+``_fiber_bound``.
 
 Truncations are to balls in the rank-two free group on c, d.  A column of
 a truncated matrix whose image would leave the ball is flagged as a
@@ -30,7 +32,7 @@ ball word w, or a sentinel when x * w leaves the ball; the tables are
 made on first use and kept, with an identity row beside them.  They are
 computed from the index layout of the ball, one block of ball indices
 per sphere and first letter, and no word is built for them.  The
-coefficient words become one matrix of letter codes, checked once, and
+walk's letter strings become one matrix of letter codes, checked once, and
 the images h * w of all columns are gathered through the tables one
 letter position at a time, right to left, in one whole-array gather per
 position.  Along the tree geodesic w, x_k w, ..., h w the word length
@@ -47,11 +49,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
-from operator import methodcaller, mul, sub
+from itertools import repeat
+from operator import mul, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 # OpenBLAS's worker threads spin for about 0.1 s of CPU after numpy
@@ -64,7 +65,7 @@ import numpy as np
 from .bundle import (
     BSteinElt, _fiber_sums, bundle_bn, bundle_chiB, bundle_fold, stratum_units
 )
-from .groups import FreeWord, H_GENS, sphere_size
+from .groups import H_GENS, sphere, sphere_size
 from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_fold
 
 
@@ -79,7 +80,8 @@ class SparseOperator:
 
     Entry k holds ``coeffs[coeff_index[k]]`` in row ``rows[k]``, column
     ``cols[k]``; entries are distinct cells in (row, col) order.  Boundary
-    columns are those whose true image is not captured by the rows;
+    columns, an array of column indices, are those whose true image is
+    not captured by the rows;
     certified lower bounds iterate on vectors supported away from them,
     and ``interior_arrays`` drops every entry of a boundary column.
     """
@@ -89,7 +91,7 @@ class SparseOperator:
     cols: np.ndarray
     coeff_index: np.ndarray
     coeffs: tuple[Fraction, ...]
-    boundary_cols: frozenset[int] = frozenset()
+    boundary_cols: np.ndarray
 
     @property
     def entries(self) -> tuple[tuple[int, int, Fraction], ...]:
@@ -101,9 +103,8 @@ class SparseOperator:
         """Rows, columns and float values of the entries outside boundary
         columns, in entry order; each coefficient is converted once."""
         vals = np.array([float(c) for c in self.coeffs], dtype=float)
-        boundary = np.fromiter(self.boundary_cols, np.intp, len(self.boundary_cols))
         inside = np.ones(self.shape[1], dtype=bool)
-        inside[boundary] = False
+        inside[self.boundary_cols] = False
         keep = inside[self.cols]
         return self.rows[keep], self.cols[keep], vals[self.coeff_index[keep]]
 
@@ -228,24 +229,25 @@ def _step_tables(radius: int) -> np.ndarray:
 
 
 def h_ball_operator(
-    coeffs: Mapping[FreeWord, Fraction], radius: int
+    walk: Mapping[str, int], denom: int, radius: int
 ) -> SparseOperator:
-    """Left multiplication by sum_h c_h h on l2 of the radius-``radius``
-    ball of the free group on c, d.
+    """Left multiplication by sum_h (walk[h] / denom) h on l2 of the
+    radius-``radius`` ball of the free group on c, d.
 
-    Columns with some product landing outside the ball are flagged as
-    boundary and carry no entries.  Interior columns hold every product,
-    one entry per word (distinct words give distinct rows).  Words over
-    other letters raise ``ValueError``, whatever their coefficient; the
-    letters of all words are checked at once, before any table is read.
+    ``walk`` maps reduced words, as their letter strings, to nonzero
+    integer numerators over ``denom``.  Columns with some product landing
+    outside the ball are flagged as boundary and carry no entries.
+    Interior columns hold every product, one entry per word (distinct
+    words give distinct rows).  Words over other letters raise
+    ``ValueError``; the letters of all words are checked at once, before
+    any table is read.
 
-    Coefficients get one slot per distinct nonzero value, in order of
-    first appearance, so each becomes a float only once; values are told
-    apart by numerator and denominator, which hash as plain integers.
+    Coefficients get one slot per distinct numerator, in order of first
+    appearance, so each becomes a ``Fraction`` and a float only once.
 
-    The words of the nonzero terms become a matrix of letter codes, one
-    row per term, right-aligned and padded on the left with the identity
-    row of ``_step_tables``.  The images h * w of the columns w are
+    The words become a matrix of letter codes, one row per term,
+    right-aligned and padded on the left with the identity row of
+    ``_step_tables``.  The images h * w of the columns w are
     gathered through the tables one letter position at a time, right to
     left, in one flat gather per position.  The words w, x_k w, ..., h w
     form a geodesic of the Cayley tree, so their lengths fall and then
@@ -261,27 +263,17 @@ def h_ball_operator(
     sort of the distinct cells, the order of ``interior_arrays`` and of
     the bincount sums of the iteration.
     """
-    words = list(coeffs)
-    if not all(map(isinstance, words, repeat(FreeWord))):
-        raise ValueError(f"coefficient words must be over {H_GENS}")
-    chars = [h.chars for h in words]
-    if not _LETTERS.issuperset("".join(chars)):
+    words = list(walk)
+    if not _LETTERS.issuperset("".join(words)):
         raise ValueError(f"coefficient words must be over {H_GENS}")
     steps = _step_tables(radius)
     size = steps.shape[1] - 1
 
-    # one slot per distinct nonzero coefficient, keyed by (numerator,
-    # denominator) at the position where it first appears; zero is (0, 1)
-    values = list(coeffs.values())
-    first: dict[tuple[int, int], int] = {}
-    ratios = map(methodcaller("as_integer_ratio"), values)
-    seen = list(map(first.setdefault, ratios, count()))
-    zero = first.pop((0, 1), -1)
-    slot = {k: s for s, k in enumerate(first.values())}
-    slots = np.array([slot[k] for k in seen if k != zero], dtype=np.intp)
-    kept = [w for w, k in zip(chars, seen) if k != zero]
-    terms, width = len(kept), max(map(len, kept), default=0)
-    padded = "".join(map(str.rjust, kept, repeat(width), repeat(_PAD_CHAR)))
+    slot: dict[int, int] = {}
+    per_term = [slot.setdefault(c, len(slot)) for c in walk.values()]
+    slots = np.array(per_term, dtype=np.intp)
+    terms, width = len(words), max(map(len, words), default=0)
+    padded = "".join(map(str.rjust, words, repeat(width), repeat(_PAD_CHAR)))
     codes = padded.encode().translate(_LETTER_CODES)
     codes = np.fromiter(codes, np.intp, len(codes)).reshape(terms, width)
 
@@ -326,8 +318,8 @@ def h_ball_operator(
         rows.ravel()[cells],
         cols[col],
         slots[order][term],
-        tuple(map(values.__getitem__, first.values())),
-        frozenset(np.flatnonzero(boundary).tolist()),
+        tuple(Fraction(c, denom) for c in slot),
+        np.flatnonzero(boundary),
     )
 
 
@@ -363,38 +355,17 @@ def _radial_sphere1_sigma(radius: int, tol: float):
     return _power_lower(mat.shape, *nz, mat[nz], tol)
 
 
-def _is_sphere(ks: tuple, n: int) -> bool:
-    """Whether the steps ``ks`` are the words of S_n, in some order.
-
-    A ``FreeWord`` is reduced, so ``sphere_size(n)`` distinct words of
-    length n over c, d are all of S_n; the check reads their letter
-    strings and builds no sphere and no word hash."""
-    if len(ks) != sphere_size(n) or not all(map(isinstance, ks, repeat(FreeWord))):
-        return False
-    chars = {h.chars for h in ks}
-    return (
-        len(chars) == len(ks)
-        and {len(w) for w in chars} == {n}
-        and _LETTERS.issuperset("".join(chars))
-    )
-
-
-def rho_estimate(
-    K: Sequence[FreeWord], radius: int, tol: float = 1e-9
-) -> NormEstimate:
+def rho_estimate(n: int, radius: int, tol: float = 1e-9) -> NormEstimate:
     """Certified estimates for the norm of the sphere average
     (1/|S_n|) sum_{k in S_n} lambda(k) on l2 of the free group on c, d.
 
-    K must be a whole sphere S_n, n >= 1, in any order; anything else
-    raises ``ValueError``.  Other walks are bounded by ``_fiber_bound``.
-    The upper bound is ``haagerup_bound(n)``.  The lower bound iterates
-    on the ball truncation with boundary columns removed; for S_1 this
-    reduces exactly to a tridiagonal radial matrix.
+    n must be a positive integer; anything else raises ``ValueError``.
+    Other walks are bounded by ``_fiber_bound``.  The upper bound is
+    ``haagerup_bound(n)``.  The lower bound iterates on the ball
+    truncation with boundary columns removed; for S_1 this reduces
+    exactly to a tridiagonal radial matrix.
     """
-    ks = tuple(K)
-    n = len(ks[0].chars) if ks and isinstance(ks[0], FreeWord) else 0
-    if n < 1 or not _is_sphere(ks, n):
-        raise ValueError("K must be a whole sphere S_n with n >= 1")
+    upper = haagerup_bound(n)
     if radius < 1:
         raise ValueError("truncation radius must be positive")
     if n == 1:
@@ -402,10 +373,10 @@ def rho_estimate(
         # the interior columns are the words of ball(radius - 1)
         interior = 2 * 3 ** (radius - 1) - 1
     else:
-        coeffs = dict.fromkeys(ks, Fraction(1, len(ks)))
-        est = opnorm_lower(h_ball_operator(coeffs, radius), tol)
+        walk = dict.fromkeys((h.chars for h in sphere(n)), 1)
+        est = opnorm_lower(h_ball_operator(walk, sphere_size(n), radius), tol)
         sigma, iters, interior = est.lower, est.iterations, est.interior_cols
-    return NormEstimate(sigma, haagerup_bound(n), iters, radius, interior)
+    return NormEstimate(sigma, upper, iters, radius, interior)
 
 
 # ---------------------------------------------------------------------------
@@ -413,38 +384,34 @@ def rho_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _layered_upper(coeffs: Mapping[FreeWord, Fraction]) -> float:
-    """sum_l (l+1) ||f_l||_2, each layer's square norm summed exactly per
-    distinct coefficient times its multiplicity.  Coefficients are counted
-    by numerator and denominator, since hashing a Fraction costs a modular
-    inverse.  The layers are added with ``math.fsum``, so the bound does
+def _layered_upper(walk: Mapping[str, int], denom: int) -> float:
+    """sum_l (l+1) ||f_l||_2, each layer's square norm summed exactly in
+    integers and divided by denom^2 once.  Integer true division is
+    correctly rounded, so each layer's float is that of its exact
+    rational.  The layers are added with ``math.fsum``, so the bound does
     not depend on the order of the terms, and signed parts give the same
     float as their merged difference."""
-    layers: dict[int, Fraction] = {}
-    counts = Counter(
-        (len(h.chars), c.numerator, c.denominator) for h, c in coeffs.items()
-    )
-    for (length, p, q), mult in counts.items():
-        square = Fraction(mult * p * p, q * q)
-        layers[length] = layers.get(length, Fraction(0)) + square
-    return math.fsum((l + 1) * math.sqrt(q) for l, q in layers.items())
+    layers: dict[int, int] = {}
+    for h, c in walk.items():
+        layers[len(h)] = layers.get(len(h), 0) + c * c
+    return math.fsum((l + 1) * math.sqrt(q / denom**2) for l, q in layers.items())
 
 
 def _fiber_bound(
-    exact: Iterable[Fraction], walks: Sequence[Mapping], radius: int, tol: float
+    exact: Iterable[Fraction], walks: list, denom: int, radius: int, tol: float
 ) -> NormEstimate:
     """Two-sided bound for a sup of fiber norms: ``exact`` holds norms
     known exactly (characters of finite isotropy), and each walk, a
-    nonzero combination of free group terms, acts by the left regular
-    representation, bounded below on its ball truncation and above by
-    the layered l2 estimate.  The walks are pairwise distinct; each gets
-    one estimate, ``iterations`` sums over them and ``interior_cols`` is
-    their max (None without a walk)."""
+    nonzero combination of free group terms with numerators over
+    ``denom``, acts by the left regular representation, bounded below on
+    its ball truncation and above by the layered l2 estimate.  The walks
+    are pairwise distinct; each gets one estimate, ``iterations`` sums
+    over them and ``interior_cols`` is their max (None without a walk)."""
     base = max((float(abs(v)) for v in exact), default=0.0)
-    ests = [opnorm_lower(h_ball_operator(w, radius), tol) for w in walks]
+    ests = [opnorm_lower(h_ball_operator(w, denom, radius), tol) for w in walks]
     return NormEstimate(
         max([base] + [e.lower for e in ests]),
-        max([base] + [_layered_upper(w) for w in walks]),
+        max([base] + [_layered_upper(w, denom) for w in walks]),
         sum(e.iterations for e in ests),
         radius,
         max((e.interior_cols for e in ests), default=None),
@@ -461,9 +428,12 @@ def stein_H_norm_bound(
     On a cylinder rooted in a y-family all such terms share one germ, so
     those base words contribute exactly |sum of coefficients|.  Rooted in
     a z-family or at the empty word the germs are the left translations
-    of the free factor: one walk in the regular representation.
+    of the free factor: one walk in the regular representation.  The
+    coefficients are summed as integer numerators over the lcm of their
+    denominators, as the folds do.
     """
-    coeffs: dict[FreeWord, Fraction] = {}
+    denom = math.lcm(*(c.denominator for f, _ in parts for _, c in f.terms))
+    sums: dict[str, int] = {}
     for f, sign in parts:
         if f.region != REGION_FULL:
             raise ValueError("norm bound needs an unrestricted element")
@@ -471,10 +441,11 @@ def stein_H_norm_bound(
             g = s.g
             if len(s.alpha) or len(s.beta) or not g.f.is_identity() or g.n or g.m:
                 raise ValueError("terms must be fiber group elements over c, d")
-            coeffs[g.h] = coeffs.get(g.h, Fraction(0)) + sign * c
-    walk = {h: c for h, c in coeffs.items() if c != 0}
-    total = sum(walk.values(), Fraction(0))
-    return _fiber_bound([total], [walk] if walk else [], radius, tol)
+            k = g.h.chars
+            sums[k] = sums.get(k, 0) + sign * c.numerator * (denom // c.denominator)
+    walk = {k: c for k, c in sums.items() if c}
+    total = Fraction(sum(walk.values()), denom)
+    return _fiber_bound([total], [walk] if walk else [], denom, radius, tol)
 
 
 def bundle_norm_bound(
@@ -499,9 +470,6 @@ def bundle_norm_bound(
     denom, tables = _fiber_sums(elements, units)
     exact: list[Fraction] = []
     walks: dict[frozenset, dict[str, int]] = {}
-    # walks are keyed by letter strings, whose hashes are cached, and get
-    # their words back at the end
-    words: dict[str, FreeWord] = {}
     for u, table in zip(units, tables):
         if u.kind in ("x", "y"):
             v = [0, 0]
@@ -517,20 +485,13 @@ def bundle_norm_bound(
             if not c:
                 continue
             k = h.chars
-            words.setdefault(k, h)
             plus[k] = plus.get(k, 0) + c
             minus[k] = minus.get(k, 0) + (-c if bit else c)
         for walk in (plus, minus):
             walk = {k: c for k, c in walk.items() if c}
             if walk:
                 walks.setdefault(frozenset(walk.items()), walk)
-    # a walk holds few distinct numerators; each becomes a Fraction once
-    numerators = {c for w in walks.values() for c in w.values()}
-    values = {c: Fraction(c, denom) for c in numerators}
-    as_fractions = [
-        {words[k]: values[c] for k, c in w.items()} for w in walks.values()
-    ]
-    return _fiber_bound(exact, as_fractions, radius, tol)
+    return _fiber_bound(exact, list(walks.values()), denom, radius, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -306,12 +306,22 @@ def _parse_s_expr(cur: _Cursor) -> SElt:
             return out
 
 
-def parse_selt(text: str) -> SElt:
+def _parse_whole(text: str, parse):
+    """``parse`` of all of ``text``.  The parsers recurse once per
+    bracket, so a nesting deeper than Python's stack is a ``ParseError``
+    at the cursor, like any other input the grammar does not take."""
     cur = _Cursor(text)
-    out = _parse_s_expr(cur)
+    try:
+        out = parse(cur)
+    except RecursionError:
+        raise cur.error("expression nested too deeply") from None
     if not cur.at_end():
         raise cur.error("trailing input")
     return out
+
+
+def parse_selt(text: str) -> SElt:
+    return _parse_whole(text, _parse_s_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +454,6 @@ def _parse_bexpr(cur: _Cursor) -> BUnitSet:
 
 
 def parse_buset(text: str) -> BUnitSet:
-    cur = _Cursor(text)
-    out = _parse_bexpr(cur)
-    if not cur.at_end():
-        raise cur.error("trailing input")
-    return out
+    return _parse_whole(text, _parse_bexpr)
 
 

@@ -402,7 +402,7 @@ def _top_eig_bracket(offdiag_squares, width):
 
 def test_criterion_05_kesten_lower_bound():
     start = time.monotonic()
-    est = rho_estimate(sphere(1), radius=12, tol=1e-6)
+    est = rho_estimate(1, radius=12, tol=1e-6)
     ceiling = 3 ** 0.5 / 2
     band_lo, band_hi = Fraction(17, 20), Fraction(86603, 100000)
     # exact certificate: the radius-12 truncation norm lies in [lo, hi),
@@ -421,7 +421,7 @@ def test_criterion_05_kesten_lower_bound():
     # certified bound there lands in the band
     sq14 = _radial_offdiag_squares(14)
     clears = _eigs_below(band_lo, sq14) == 14 and _eigs_below(band_hi, sq14) == 15
-    est14 = rho_estimate(sphere(1), radius=14, tol=1e-6)
+    est14 = rho_estimate(1, radius=14, tol=1e-6)
     in_band = 0.85 <= est14.lower <= 0.86603 and est14.lower <= ceiling
     elapsed = time.monotonic() - start
     below_ceiling = est.lower <= ceiling + 1e-9 and elapsed < 60.0
@@ -430,7 +430,7 @@ def test_criterion_05_kesten_lower_bound():
         "Kesten lower bound",
         below_ceiling and bracketed and frozen and unreachable and clears
         and in_band,
-        f"rho_estimate(sphere(1), radius=12, tol=1e-6).lower = "
+        f"rho_estimate(1, radius=12, tol=1e-6).lower = "
         f"{est.lower:.9f}, within 1e-6 below and never above the exact "
         f"bracket [{float(lo):.12f}, {float(hi):.12f}) of the radius-12 "
         f"truncation norm bound (top "
@@ -451,9 +451,9 @@ def test_criterion_06_haagerup_scattering_table():
     start = time.monotonic()
     ok = True
     for n in (2, 4):
-        est = rho_estimate(sphere(n), radius=6, tol=1e-6)
+        est = rho_estimate(n, radius=6, tol=1e-6)
         ok = ok and est.lower <= haagerup_bound(n) + 1e-12
-    uppers = [rho_estimate(sphere(n), radius=6, tol=1e-6).upper for n in (2, 4, 6, 8)]
+    uppers = [rho_estimate(n, radius=6, tol=1e-6).upper for n in (2, 4, 6, 8)]
     ok = ok and all(a > b for a, b in zip(uppers, uppers[1:]))
     for n, m in ((2, 4), (4, 6), (6, 8)):
         diff = st_make(st_bn(n).terms + tuple((s, -c) for s, c in st_bn(m).terms))

@@ -91,6 +91,14 @@ PINNED_REPORTS = {
     # n = 3 at radius 2: a sphere wider than its ball, no interior column
     ("scatter", "--indices", "1,2,3", "--radius", "2"):
         "9b89ce7c59f9565200e8417533ec7595f7d5e4ca1f47c500d6571cca5ed1d18f",
+    # the float bounds over more walks: spheres up to S_5 in a radius-8
+    # ball, the bundle pairs up to b_6, and a radius-5 selfsim profile
+    ("scatter", "--indices", "1,2,3,4,5", "--radius", "8"):
+        "12c8367b881c925069a87f9a3abc6b79865ae43f7141482e23511b9ee110dc19",
+    ("verify", "--example", "bundle", "--indices", "1,2,3,4,5,6"):
+        "cea88a1719a5118335de83cb40e74f46e2dd1dc1505fe6ed15daf7464a1d3112",
+    ("verify", "--indices", "1,3,5", "--radius", "5", "--seed", "2"):
+        "9a6d0aa05b73978571ecc60652b0f5f24171642f4e86e4b625a1e33596c508e1",
 }
 
 
@@ -637,6 +645,21 @@ def test_eval_parse_error_exits_2_with_position():
     assert res.exit_code == 2
     assert "position 7" in res.stderr
     assert "^" in res.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "example, atom", [("selfsim", "1"), ("bundle", "z[1]")]
+)
+def test_eval_deep_nesting(example, atom):
+    # a nesting deeper than the parser's stack is a parse error, exit 2;
+    # a shallower one reads as the bare atom
+    deep = run("eval", "(" * 2000 + atom + ")" * 2000, "--example", example)
+    assert deep.exit_code == 2
+    assert "expression nested too deeply at position" in deep.stderr
+    assert "^" in deep.stderr.splitlines()[-1]
+    shallow = run("eval", "(" * 300 + atom + ")" * 300, "--example", example)
+    assert shallow.exit_code == 0
+    assert shallow.stdout == run("eval", atom, "--example", example).stdout
 
 
 # ---------------------------------------------------------------------------
