@@ -30,7 +30,9 @@ from .bundle import (
     buset,
 )
 from .groups import GElt, KElt, ball, free_word, hom_pi, hom_tau, hom_zeta, sphere
-from .repnorm import cauchy_profile, haagerup_bound, rho_estimate, stein_H_norm_bound
+from .repnorm import (
+    bundle_norm_bound, cauchy_profile, haagerup_bound, rho_estimate, stein_H_norm_bound
+)
 from .selfsim import (
     effectiveness_witness,
     finword,
@@ -64,6 +66,7 @@ __all__ = [
     "bundle_chi",
     "bundle_chiB",
     "bundle_is_singular",
+    "bundle_norm_bound",
     "bundle_sup_dist",
     "buset",
     "cauchy_profile",

@@ -13,14 +13,13 @@ Everything here returns quantities with a stated side:
 Both models' norms are fiberwise: exact character values on finite
 isotropy, and left-regular walks of the free factor elsewhere.
 ``_fiber_bound`` is the one place where those pieces become a two-sided
-bound; ``stein_H_norm_bound`` and ``bundle_norm_bound`` only collect them.
-Both take signed parts ``[(element, sign), ...]``, as the folds do, so a
-difference f - g is bounded as ``[(f, 1), (g, -1)]`` and never built.
-A walk is what the folds hand over: a map from letter strings to
-integer numerators over one denominator.  ``rho_estimate`` takes a
-sphere index n, builds the walk of the sphere average b_n itself and
-bounds it above by Haagerup's inequality; every other walk goes through
-``_fiber_bound``.
+bound, on walks as the folds hand them over: letter strings mapped to
+integer numerators over one denominator.  ``_walk_bound`` merges signed
+walks of coefficients, so f - g is bounded as ``[(w_f, 1), (w_g, -1)]``
+and never built; ``stein_H_norm_bound`` and ``bundle_norm_bound`` are
+the one-call forms on elements.  ``rho_estimate`` takes a sphere index
+n, builds the walk of the sphere average b_n itself and bounds it above
+by Haagerup's inequality; every other walk goes through ``_fiber_bound``.
 
 Truncations are to balls in the rank-two free group on c, d.  A column of
 a truncated matrix whose image would leave the ball is flagged as a
@@ -418,34 +417,47 @@ def _fiber_bound(
     )
 
 
-def stein_H_norm_bound(
-    parts: Sequence[tuple[SteinElt, int]], radius: int, tol: float
-) -> NormEstimate:
-    """Two-sided bound for the reduced norm of the signed sum of ``parts``,
-    pairs ``(f, sign)`` of combinations of fiber group terms (group
-    elements of the free factor on c, d).
+def _stein_walk(f: SteinElt) -> dict[str, Fraction]:
+    """The walk of f, a combination of fiber group terms (group elements
+    of the free factor on c, d): its coefficient per letter string."""
+    if f.region != REGION_FULL:
+        raise ValueError("norm bound needs an unrestricted element")
+    walk: dict[str, Fraction] = {}
+    for s, c in f.terms:
+        g = s.g
+        if len(s.alpha) or len(s.beta) or not g.f.is_identity() or g.n or g.m:
+            raise ValueError("terms must be fiber group elements over c, d")
+        walk[g.h.chars] = walk.get(g.h.chars, 0) + c
+    return walk
 
-    On a cylinder rooted in a y-family all such terms share one germ, so
-    those base words contribute exactly |sum of coefficients|.  Rooted in
-    a z-family or at the empty word the germs are the left translations
-    of the free factor: one walk in the regular representation.  The
-    coefficients are summed as integer numerators over the lcm of their
-    denominators, as the folds do.
-    """
-    denom = math.lcm(*(c.denominator for f, _ in parts for _, c in f.terms))
+
+def _bundle_walk(f: BSteinElt) -> dict[str, Fraction]:
+    """The walk of ``bundle_bn(n)``, read off its terms (bit, h, c, region)."""
+    return {h.chars: c for _, h, c, _ in f.terms}
+
+
+def _walk_bound(parts: Sequence[tuple], radius: int, tol: float) -> NormEstimate:
+    """Two-sided bound for the reduced norm of a signed sum of walks,
+    ``parts`` = [(walk, sign), ...].  Rooted in a y-family, all fiber group
+    terms share one germ: exactly |sum of coefficients|.  Rooted in a
+    z-family or at the empty word, the germs are the left translations of
+    the free factor: one walk in the regular representation.  Coefficients
+    are summed as integer numerators over their lcm, as the folds do."""
+    denom = math.lcm(*(c.denominator for w, _ in parts for c in w.values()))
     sums: dict[str, int] = {}
-    for f, sign in parts:
-        if f.region != REGION_FULL:
-            raise ValueError("norm bound needs an unrestricted element")
-        for s, c in f.terms:
-            g = s.g
-            if len(s.alpha) or len(s.beta) or not g.f.is_identity() or g.n or g.m:
-                raise ValueError("terms must be fiber group elements over c, d")
-            k = g.h.chars
+    for w, sign in parts:
+        for k, c in w.items():
             sums[k] = sums.get(k, 0) + sign * c.numerator * (denom // c.denominator)
     walk = {k: c for k, c in sums.items() if c}
     total = Fraction(sum(walk.values()), denom)
     return _fiber_bound([total], [walk] if walk else [], denom, radius, tol)
+
+
+def stein_H_norm_bound(
+    parts: Sequence[tuple[SteinElt, int]], radius: int, tol: float
+) -> NormEstimate:
+    """``_walk_bound`` of the walks of ``parts``, pairs ``(f, sign)``."""
+    return _walk_bound([(_stein_walk(f), sign) for f, sign in parts], radius, tol)
 
 
 def bundle_norm_bound(
@@ -572,9 +584,11 @@ def cauchy_profile(
     For each pair n < m of indices one row records the exact pointwise
     sup distance, a certified two-sided bound for the reduced norm of
     b_n - b_m, and the coefficient sum of b_n - b_m.  No difference is
-    built: the norm bound takes the signed parts [(b_n, 1), (b_m, -1)],
-    as the folds do, and the coefficient sum is that of b_n minus that of
-    b_m, each taken once per element.  Limit rows record the sup distance
+    built: each b_n is read once into its walk w_n, and in both models a
+    row is ``_walk_bound`` of [(w_n, 1), (w_m, -1)] and the sum of w_n
+    minus that of w_m.  The bundle read is exact: b_n holds bit 0 over
+    ``WHOLE_SET``, so each z- and eps-fiber sees w_n under both characters
+    and each x- and y-fiber its sum.  Limit rows record the sup distance
     to the indicator of the y-rooted half.  ``fold_readings`` reads every
     sup distance, pair and limit, off one vector fold of [chi_B, b_n for
     each index], whose classes or units refine those of each pair (the
@@ -589,21 +603,20 @@ def cauchy_profile(
         if not isinstance(n, int) or n < 1:
             raise ValueError("sphere indices must be positive integers")
     if example == "selfsim":
-        build, chi, fold, bound = st_bn, st_chiB, st_fold, stein_H_norm_bound
-        at = 1  # a term is (s, c)
+        build, chi, fold, read = st_bn, st_chiB, st_fold, _stein_walk
     elif example == "bundle":
-        build, chi, fold = bundle_bn, bundle_chiB, bundle_fold
-        bound, at = bundle_norm_bound, 2  # a term is (bit, h, c, region)
+        build, chi, fold, read = bundle_bn, bundle_chiB, bundle_fold, _bundle_walk
     else:
         raise ValueError(f"unknown example {example!r}")
     elts = {n: build(n) for n in idx}
     # position 0 of the fold is chi_B, position p the p-th index
     sups, _ = fold_readings(fold, [chi(), *elts.values()], len(idx) + 1)
-    totals = {n: sum(t[at] for t in f.terms) for n, f in elts.items()}
+    walks = {n: read(f) for n, f in elts.items()}
+    totals = {n: sum(w.values()) for n, w in walks.items()}
     rows = []
     for i, n in enumerate(idx):
         for j, m in enumerate(idx[i + 1:], i + 1):
-            est = bound([(elts[n], 1), (elts[m], -1)], radius, tol)
+            est = _walk_bound([(walks[n], 1), (walks[m], -1)], radius, tol)
             sup, pi_triv = sups[i + 1][j + 1], totals[n] - totals[m]
             rows.append(CauchyRow(n, m, sup, est.upper, est.lower, pi_triv))
     limit_rows = tuple(LimitRow(n, sups[i + 1][0]) for i, n in enumerate(idx))

@@ -99,6 +99,15 @@ PINNED_REPORTS = {
         "cea88a1719a5118335de83cb40e74f46e2dd1dc1505fe6ed15daf7464a1d3112",
     ("verify", "--indices", "1,3,5", "--radius", "5", "--seed", "2"):
         "9a6d0aa05b73978571ecc60652b0f5f24171642f4e86e4b625a1e33596c508e1",
+    # pairs with m > radius, which certify nothing (every lower bound 0.0),
+    # in both models, and the bundle at 1..8, where 13 of 28 pairs have m > 6
+    ("verify", "--indices", "2,4,5", "--radius", "3", "--seed", "0"):
+        "454e51299681c5b75b13a6084109ae24f8ab1190c8edac9b00417503f4b39c6b",
+    ("verify", "--example", "bundle", "--indices", "2,4,5", "--radius", "3",
+     "--seed", "0"):
+        "9ddd91ff15c52c4fa01f5389b04a88bc713e8ca798556b5f54354ee9c4d5e4e8",
+    ("verify", "--example", "bundle", "--indices", "1,2,3,4,5,6,7,8"):
+        "4616b870c32d06d7e386c79009e0cf139585a6d935637d5ee13c447c538ffa44",
 }
 
 

@@ -25,7 +25,9 @@ passes; a method that only tests call is dead surface.
 
 Every name the package exports (``__all__`` of its ``__init__``) is used
 by another package module or listed in README's "Public API" section, so
-an export that nothing reaches must be documented as public API.
+an export that nothing reaches must be documented as public API.  README's
+sentence "No package code calls ..." names exactly the exports that no
+other package module loads, so it cannot go stale.
 
 Every layer the benchmark traces (``LAYERS`` in ``bench/layertrace.py``)
 is a callable of its module, so a deletion that would leave the benchmark
@@ -141,6 +143,13 @@ def unlisted_exports(sources: dict[str, str], listed: set[str]) -> list[str]:
     others = [ast.parse(src) for mod, src in sources.items() if mod != "__init__"]
     used = set().union(*map(loaded, others))
     return sorted(exports(ast.parse(sources["__init__"])) - used - listed)
+
+
+def uncalled_list(readme: str) -> set[str]:
+    """The names in backticks in README's sentence "No package code calls
+    ...", up to its semicolon."""
+    sentence = readme.split("No package code calls ", 1)[1].split(";", 1)[0]
+    return set(re.findall(r"`(\w+)`", sentence))
 
 
 def unused_methods(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
@@ -260,6 +269,14 @@ def test_every_export_is_used_or_listed():
     listed = api_list((ROOT / "README.md").read_text())
     assert listed <= exports(ast.parse(sources["__init__"]))
     assert unlisted_exports(sources, listed) == []
+
+
+def test_readme_names_the_exports_no_package_code_calls():
+    readme = "Intro.  No package code calls `f`, `g` or\n`h`; `k` reads them.\n"
+    assert uncalled_list(readme) == {"f", "g", "h"}
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    listed = uncalled_list((ROOT / "README.md").read_text())
+    assert listed == set(unlisted_exports(sources, set()))
 
 
 def test_every_method_is_used():

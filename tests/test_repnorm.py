@@ -761,7 +761,8 @@ def test_cauchy_profile_selfsim_frozen():
 
 
 def test_cauchy_profile_bundle_agrees():
-    # both models assemble one fiber bound, so the rows agree to the bit
+    # both models read each b_n into the same walk and make every row with
+    # one _walk_bound, so the rows agree to the bit
     for radius in (4, 5, 6):
         selfsim = cauchy_profile((1, 2, 3, 4), example="selfsim", radius=radius)
         bundle = cauchy_profile((1, 2, 3, 4), example="bundle", radius=radius)
@@ -782,8 +783,8 @@ def test_cauchy_profile_bundle_agrees():
     [("selfsim", steinberg, "st_make"), ("bundle", bundle_module, "bstein")],
 )
 def test_cauchy_profile_builds_no_difference(monkeypatch, example, module, builder):
-    # each b_n and chi_B is built once; the norm bound takes b_n and b_m
-    # as signed parts, so no b_n - b_m is ever merged
+    # each b_n and chi_B is built once; a row's norm bound takes the walks
+    # of b_n and b_m as signed parts, so no b_n - b_m is ever built
     calls = []
     real = getattr(module, builder)
 
@@ -802,19 +803,28 @@ def test_cauchy_profile_builds_no_difference(monkeypatch, example, module, build
 @given(
     st.sampled_from(["selfsim", "bundle"]),
     st.sets(st.integers(1, 4), min_size=1, max_size=4),
+    st.integers(1, 6),
 )
-def test_cauchy_profile_sup_rows_equal_the_pair_functions(example, indices):
-    # the rows read one shared fold; each must be what its pair function says
-    dist, chi = {
-        "selfsim": (steinberg.st_sup_dist, steinberg.st_chiB),
-        "bundle": (bundle_module.bundle_sup_dist, bundle_chiB),
+def test_cauchy_profile_sup_rows_equal_the_pair_functions(example, indices, radius):
+    # the rows read one shared fold and one walk per b_n; each must be what
+    # its pair functions say, the norm bound taking the pair's elements
+    dist, chi, bound, at = {
+        "selfsim": (steinberg.st_sup_dist, steinberg.st_chiB, stein_H_norm_bound, 1),
+        "bundle": (bundle_module.bundle_sup_dist, bundle_chiB, bundle_norm_bound, 2),
     }[example]
-    prof = cauchy_profile(sorted(indices), example=example, radius=1)
+    prof = cauchy_profile(sorted(indices), example=example, radius=radius)
     b = prof.elements
     assert [r.sup_dist for r in prof.rows] == [dist(b[r.n], b[r.m]) for r in prof.rows]
     assert [r.sup_dist for r in prof.limit_rows] == [
         dist(b[r.n], chi()) for r in prof.limit_rows
     ]
+    for r in prof.rows:
+        est = bound([(b[r.n], 1), (b[r.m], -1)], radius, 1e-9)
+        assert (r.upper, r.lower) == (est.upper, est.lower)
+        # the coefficient sum of b_n - b_m, a term's coefficient at ``at``
+        assert r.pi_triv == sum(t[at] for t in b[r.n].terms) - sum(
+            t[at] for t in b[r.m].terms
+        )
 
 
 @pytest.mark.parametrize("example", ["selfsim", "bundle"])
@@ -822,25 +832,35 @@ def test_cauchy_profile_runs_one_sup_fold_for_any_number_of_indices(
     monkeypatch, example
 ):
     # k indices give k(k-1)/2 pair rows and k limit rows, all read off one
-    # fold of the model module; the bundle norm bound folds its own pair
-    # through repnorm's reference and is not counted
-    module, name = {
-        "selfsim": (steinberg, "_class_sums"),
-        "bundle": (bundle_module, "_fiber_sums"),
+    # fold of the model module, counted through every binding of its fold
+    # functions; the norm rows come from walks and fold no pair
+    module, names = {
+        "selfsim": (steinberg, ["_class_sums"]),
+        "bundle": (bundle_module, ["_fiber_sums", "stratum_units"]),
     }[example]
-    folds = []
-    real_fold = getattr(module, name)
+    folds = {name: [] for name in names}
+    for name in names:
+        real = getattr(module, name)
 
-    def fold(*args):
-        folds.append(len(args[0]))
-        return real_fold(*args)
+        def fold(*args, name=name, real=real):
+            folds[name].append(len(args[0]))
+            return real(*args)
 
-    monkeypatch.setattr(module, name, fold)
+        for binding in (module, repnorm):
+            if getattr(binding, name, None) is real:
+                monkeypatch.setattr(binding, name, fold)
+
+    def no_pair_bound(*args):
+        raise AssertionError("the profile called a per-pair norm bound")
+
+    monkeypatch.setattr(repnorm, "stein_H_norm_bound", no_pair_bound)
+    monkeypatch.setattr(repnorm, "bundle_norm_bound", no_pair_bound)
     for k in range(2, 6):
-        folds.clear()
+        for calls in folds.values():
+            calls.clear()
         prof = cauchy_profile(range(1, k + 1), example=example, radius=1)
         assert len(prof.rows) == k * (k - 1) // 2
-        assert folds == [k + 1]
+        assert folds == {name: [k + 1] for name in names}
 
 
 def test_cauchy_profile_validation_and_edges():
