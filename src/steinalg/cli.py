@@ -12,7 +12,6 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse errors.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -37,7 +36,6 @@ from .bundle import (
     bundle_chi,
     bundle_chiB,
     bundle_fold,
-    bundle_is_singular,
     buset,
     buset_intersect,
     buset_union,
@@ -88,8 +86,8 @@ from .steinberg import (
     st_conv,
     st_evaluator,
     st_fold,
-    st_is_singular,
     st_open_witness,
+    st_support_strata,
 )
 from .syntax import ParseError, parse_buset, parse_selt
 
@@ -229,13 +227,13 @@ def _selfsim_germ_law(rng: random.Random, checks: list) -> None:
     )
 
 
-def _selfsim_support(achib: SteinElt, checks: list) -> None:
-    verdict = st_is_singular(achib)
-    bad = "" if verdict.singular else "a*chiB not singular"
-    if len(verdict.strata) != 8:
-        bad = bad or f"support table has {len(verdict.strata)} strata, not 8"
+def _selfsim_support(achib: SteinElt, singular: bool, checks: list) -> None:
+    strata = st_support_strata(achib)
+    bad = "" if singular else "a*chiB not singular"
+    if len(strata) != 8:
+        bad = bad or f"support table has {len(strata)} strata, not 8"
     names = set()
-    for s in verdict.strata:
+    for s in strata:
         pattern, f = s.pattern, str(s.base.g.f)
         expect = Fraction(1) if f in ("1", "ab") else Fraction(-1)
         if s.interior or len(pattern) != 1 or pattern[0][:2] != ("gen", "y"):
@@ -330,16 +328,16 @@ def _selfsim_verdicts(
         if singular or w is None:
             bad = bad or f"a*b{n} not recognized as nonsingular with witness"
     # U ranges over neighborhoods of support points of a*chiB, which are
-    # the single-letter y-cylinders
-    seen = set()
-    while len(seen) < 5:
+    # the single-letter y-cylinders; one fold gives every a*chi_U's verdict
+    alphas = []
+    while len(alphas) < 5:
         alpha = finword(yl(rng.choice((1, 2)), rng.randrange(-20, 21)))
-        if alpha in seen:
-            continue
-        seen.add(alpha)
-        prod = st_conv(a, st_chi_cylinder(alpha))
-        v = st_is_singular(prod)
-        if not v.singular or not prod.terms:
+        if alpha not in alphas:
+            alphas.append(alpha)
+    prods = [st_conv(a, st_chi_cylinder(alpha)) for alpha in alphas]
+    _, singular = fold_readings(st_fold, prods, 0)
+    for alpha, prod, ok in zip(alphas, prods, singular):
+        if not ok or not prod.terms:
             bad = bad or f"a*chi_U not singular and nonzero at U = [{alpha}]"
     _check(
         checks,
@@ -498,20 +496,21 @@ def _bundle_rates(folded: dict, limit_rows: tuple, checks: list) -> None:
 
 
 def _bundle_verdicts(
-    achib: BSteinElt, folded: dict, rng: random.Random, checks: list
+    achib_singular: bool, folded: dict, rng: random.Random, checks: list
 ) -> None:
-    bad = ""
-    if not bundle_is_singular(achib).singular:
-        bad = "a*chiB not singular"
+    bad = "" if achib_singular else "a*chiB not singular"
     # nonsingular means some isolated arrow holds a nonzero value: a witness
     for n, (singular, _) in folded.items():
         if singular:
             bad = bad or f"a*b{n} not nonsingular with isolated witness"
+    sets = []
     for _ in range(5):
         i = rng.randrange(1, 8)
-        U = buset(cols={i: (rng.random() < 0.5, {rng.randrange(1, 8)})})
-        prod = bstein_conv(bundle_a(), bundle_chi(U))
-        if not bundle_is_singular(prod).singular or prod == B_ZERO:
+        sets.append(buset(cols={i: (rng.random() < 0.5, {rng.randrange(1, 8)})}))
+    prods = [bstein_conv(bundle_a(), bundle_chi(U)) for U in sets]
+    _, singular = fold_readings(bundle_fold, prods, 0)
+    for U, prod, ok in zip(sets, prods, singular):
+        if not ok or prod == B_ZERO:
             bad = bad or f"a*chi_U not singular and nonzero at U = {U}"
     _check(
         checks,
@@ -525,18 +524,6 @@ def _bundle_verdicts(
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
-
-
-def _report_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(header: list, rows: list) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(str(v) for v in row) + "\r\n")
-    return buf.getvalue()
 
 
 def _emit(text: str, out: Optional[str], default_name: str) -> None:
@@ -558,7 +545,10 @@ def _emit(text: str, out: Optional[str], default_name: str) -> None:
     click.echo(f"wrote {path}", err=True)
 
 
-def _finish(payload: dict, checks: list) -> int:
+def _report(payload: dict, checks: list, header: list, rows: list) -> None:
+    """Add the sorted checks and their summary to ``payload``, render it
+    in the configured format (CSV gives ``rows`` under ``header``), emit
+    it, and exit with 1 if a check failed."""
     checks.sort(key=lambda c: c["id"])
     failed = sum(1 for c in checks if c["status"] == "fail")
     payload["checks"] = checks
@@ -567,7 +557,14 @@ def _finish(payload: dict, checks: list) -> int:
         "failed": failed,
         "total": len(checks),
     }
-    return 0 if failed == 0 else 1
+    config = payload["config"]
+    fmt = config["format"]
+    if fmt == "json":
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        text = "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
+    _emit(text, config["out"], f"{payload['command']}_{config['example']}.{fmt}")
+    sys.exit(1 if failed else 0)
 
 
 def _config_echo(example, indices, radius, tol, seed, out, fmt) -> dict:
@@ -679,7 +676,7 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
         a, chi, conv, fold = bundle_a(), bundle_chiB, bstein_conv, bundle_fold
     if indices:
         # a*chiB and each a*b_n are built once, from the profile's b_n, and
-        # one fold gives every a*b_n's verdict and sup distance to a*chiB
+        # one fold gives each one's verdict and sup distance to a*chiB
         achib = conv(a, chi())
         abn = {n: conv(a, b) for n, b in profile.elements.items()}
         (dists,), singular = fold_readings(fold, [achib, *abn.values()], 1)
@@ -688,7 +685,7 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
         # each a*b_n's witness and evaluator are made once
         witnesses = {n: st_open_witness(prod) for n, prod in abn.items()}
         abn_at = {n: st_evaluator(prod) for n, prod in abn.items()}
-        _selfsim_support(achib, checks)
+        _selfsim_support(achib, singular[0], checks)
         _selfsim_values(
             st_evaluator(achib), abn_at, folded, profile.limit_rows, rng, checks
         )
@@ -698,7 +695,7 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
     elif indices:
         _bundle_values(achib, profile.elements, checks)
         _bundle_rates(folded, profile.limit_rows, checks)
-        _bundle_verdicts(achib, folded, rng, checks)
+        _bundle_verdicts(singular[0], folded, rng, checks)
     cauchy = _cauchy_section(profile, checks) if indices else None
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -706,22 +703,16 @@ def verify(example, indices, radius, tol, seed, out, fmt) -> None:
         "config": _config_echo(example, indices, radius, tol, seed, out, fmt),
         "cauchy": cauchy,
     }
-    code = _finish(payload, checks)
-    if fmt == "json":
-        text = _report_json(payload)
-    else:
-        rows = []
-        if cauchy is not None:
-            for r in cauchy["pairs"]:
-                rows.append(
-                    (r["n"], r["m"], r["sup_dist"],
-                     f"{r['upper_bound']:.9f}", f"{r['lower_bound']:.9f}")
-                )
-            for r in cauchy["limits"]:
-                rows.append((r["n"], "", r["sup_dist"], "", ""))
-        text = _csv_text(["n", "m", "sup_dist", "upper_bound", "lower_bound"], rows)
-    _emit(text, out, f"verify_{example}.{fmt}")
-    sys.exit(code)
+    rows = []
+    if cauchy is not None:
+        for r in cauchy["pairs"]:
+            rows.append(
+                (r["n"], r["m"], r["sup_dist"],
+                 f"{r['upper_bound']:.9f}", f"{r['lower_bound']:.9f}")
+            )
+        for r in cauchy["limits"]:
+            rows.append((r["n"], "", r["sup_dist"], "", ""))
+    _report(payload, checks, ["n", "m", "sup_dist", "upper_bound", "lower_bound"], rows)
 
 
 @main.command()
@@ -770,19 +761,11 @@ def scatter(example, indices, radius, tol, seed, out, fmt) -> None:
         "config": _config_echo(example, indices, radius, tol, seed, out, fmt),
         "rows": rows,
     }
-    code = _finish(payload, checks)
-    if fmt == "json":
-        text = _report_json(payload)
-    else:
-        text = _csv_text(
-            ["n", "sphere_size", "lower", "upper"],
-            [
-                (r["n"], r["sphere_size"], f"{r['lower']:.9f}", f"{r['upper']:.9f}")
-                for r in rows
-            ],
-        )
-    _emit(text, out, f"scatter_{example}.{fmt}")
-    sys.exit(code)
+    table = [
+        (r["n"], r["sphere_size"], f"{r['lower']:.9f}", f"{r['upper']:.9f}")
+        for r in rows
+    ]
+    _report(payload, checks, ["n", "sphere_size", "lower", "upper"], table)
 
 
 @main.command("eval")

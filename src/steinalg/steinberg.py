@@ -31,9 +31,9 @@ numerators per germ key, one per element it is given, over one common
 denominator.  ``st_support_strata`` turns each nonzero sum of one element
 into a stratum (only it asks the fold for the member lists), and
 ``st_sup_dist`` keeps the largest |f - g| of two.  ``st_fold`` hands the
-classes of many elements with empty source prefixes to
-``repnorm.fold_readings``, which reads each one's singular verdict and
-its sup distances to the first few in one walk.
+classes of many elements to ``repnorm.fold_readings``, which reads each
+one's singular verdict and its sup distances to the first few in one
+walk.
 
 The fold and ``st_evaluator`` key terms by homomorphism images wherever
 no source prefix reaches (``_germ_keys``).  When every term defined at a
@@ -520,35 +520,27 @@ def st_fold(elements: list[SteinElt]) -> tuple:
     with one numerator per element over D.  ``repnorm.fold_readings``
     reads the chunks.
 
-    Every term must have an empty source prefix, as the terms of a, b_n,
-    chi_B and their products do; a term with a nonempty one raises
-    ``ValueError``.  Then the classes refine the walk of every subset of
-    the elements, so an element is singular exactly when it is zero on
-    every interior class, and the sup of |f - g| over the classes is
-    ``st_sup_dist(f, g)`` for any two of them:
+    The classes refine the walk of every subset E of the elements, so an
+    element is singular exactly when it is zero on every interior class,
+    and the sup of |f - g| over the classes is ``st_sup_dist(f, g)`` for
+    any two of them.  Take any node of the shared walk:
 
-    - No term is alive below the root and every term is defined at every
-      word, so in any of these walks a node settles exactly when it is
-      not the root and every term's restriction past it is trivial.  The
-      shared walk's terms include those of any subset of the elements,
-      so a node where it settles is settled for every subset too.
-    - Hence each class of the subset's walk is a union of shared classes:
-      where the subset's walk settles at or above a shared node, that
-      node's class lies in the settled cylinder, and elsewhere the two
-      walks have the same node.  An interior shared class lies in an
-      interior class of the subset's walk, and below an interior class
-      of the subset's walk every branch of the shared walk ends in
-      interior classes (it settles by depth ``STABILIZATION_DEPTH``).
-    - The keys split each element's terms as ``germ_key`` does, and
-      region membership reads only the first letter, which is fixed on
-      every class past the root.  So on a shared class inside a class of
-      the subset's walk, every element's entries are those of that class.
+    - E's alive terms and its defined terms are among the walk's, so the
+      shared walk settles only where E's walk settles.
+    - The shared walk branches on every letter that E's walk branches
+      on.  A letter that only other elements write falls into one of E's
+      generic classes, and the invariance of the module docstring holds
+      on those.
+    - So each class of E's walk is a union of shared classes, and each of
+      them carries E's entries: the keys split E's terms as ``germ_key``
+      does, and region membership reads only the first letter.
+    - An interior shared class is a cylinder, so it lies in an interior
+      class of E.  Below an interior class of E, every shared branch ends
+      in interior classes by depth max |beta| + ``STABILIZATION_DEPTH``.
 
     The sup therefore runs over the same values, and an interior class
     with a nonzero entry of f exists in the shared walk exactly when one
     does in f's own.
     """
-    if any(s.beta.letters for f in elements for s, _ in f.terms):
-        raise ValueError("the shared fold takes terms with an empty source prefix")
     denom, classes = _class_sums(elements, False)
     return denom, ((interior, list(sums.values())) for _, _, interior, sums in classes)

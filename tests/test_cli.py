@@ -16,11 +16,12 @@ import steinalg
 
 from steinalg import bundle, cli, repnorm, selfsim, steinberg
 from steinalg.bundle import (
-    barrow, bstein, bstein_conv, bundle_a, bundle_bn, bundle_chiB
+    barrow, bstein, bstein_conv, bundle_a, bundle_bn, bundle_chiB, buset, buset_union
 )
 from steinalg.cli import main
 from steinalg.groups import GElt, free_word
 from steinalg.repnorm import LimitRow
+from steinalg.selfsim import finword, zl
 from steinalg.steinberg import st_a, st_bn, st_chiB, st_conv
 
 
@@ -108,6 +109,12 @@ PINNED_REPORTS = {
         "9ddd91ff15c52c4fa01f5389b04a88bc713e8ca798556b5f54354ee9c4d5e4e8",
     ("verify", "--example", "bundle", "--indices", "1,2,3,4,5,6,7,8"):
         "4616b870c32d06d7e386c79009e0cf139585a6d935637d5ee13c447c538ffa44",
+    # the selfsim-verify workload's indices, and a second bundle seed, which
+    # draw other cylinders and unit sets for the a*chi_U verdicts
+    ("verify", "--indices", "1,2", "--seed", "5"):
+        "591a564cb741f6195ce0975f852f9d2474ff39aa9c325c4d573b8c08c343326f",
+    ("verify", "--example", "bundle", "--indices", "1,2,3", "--seed", "5"):
+        "add7f73c3817e1e05df56414a031bede3b2d517b5422242567815daecf350485",
 }
 
 
@@ -228,9 +235,10 @@ def test_verify_computes_each_limit_distance_once(monkeypatch):
 
 
 @pytest.mark.parametrize("example", ["selfsim", "bundle"])
-def test_verify_reads_two_folds(monkeypatch, example):
-    # the Cauchy profile reads the sups of chiB and b_1..b_3 pairwise, and
-    # verify reads a*chiB and every a*b_n against a*chiB only
+def test_verify_reads_three_folds(monkeypatch, example):
+    # the Cauchy profile reads the sups of chiB and b_1..b_3 pairwise,
+    # verify reads a*chiB and every a*b_n against a*chiB only, and the
+    # five sampled a*chi_U for their verdicts only
     refs = []
     real = repnorm.fold_readings
 
@@ -242,7 +250,7 @@ def test_verify_reads_two_folds(monkeypatch, example):
         monkeypatch.setattr(module, "fold_readings", readings)
     res = run("verify", "--example", example, "--indices", "1,2,3")
     assert res.exit_code == 0
-    assert refs == [4, 1]
+    assert refs == [4, 1, 0]
 
 
 def test_verify_builds_each_selfsim_product_once(monkeypatch):
@@ -264,19 +272,24 @@ def test_verify_builds_each_selfsim_product_once(monkeypatch):
 
 def test_verify_folds_and_keys_each_selfsim_product_once(monkeypatch):
     # one shared fold reads every a*b_n's verdict and distance to a*chiB,
-    # each product's witness is extracted once, and each evaluated product
-    # has its terms keyed once outside the folds
+    # and one more every sampled a*chi_U's verdict; each product's witness
+    # is extracted once, and each evaluated product has its terms keyed
+    # once outside the folds.  No verdict comes from a one-call form.
+    assert not hasattr(cli, "st_is_singular") and not hasattr(cli, "bundle_is_singular")
     achib = st_conv(st_a(), st_chiB())
     abn = [st_conv(st_a(), st_bn(n)) for n in (1, 2)]
-    witnessed, verdicts, dists, keyed = [], [], [], []
+    witnessed, verdicts, dists, keyed, units = [], [], [], [], []
     for module in (cli, steinberg):
         _recording(monkeypatch, module, "st_open_witness", witnessed)
-        _recording(monkeypatch, module, "st_is_singular", verdicts)
+    _recording(monkeypatch, steinberg, "st_is_singular", verdicts)
+    _recording(monkeypatch, bundle, "bundle_is_singular", verdicts)
     _recording(monkeypatch, steinberg, "st_sup_dist", dists)
-    in_fold = []
+    _recording(monkeypatch, bundle, "stratum_units", units)
+    in_fold, folds = [], []
     real_fold, real_images = steinberg._class_sums, steinberg._key_images
 
     def fold(elements, members):
+        folds.append(elements)
         in_fold.append(True)
         try:
             return real_fold(elements, members)
@@ -295,8 +308,14 @@ def test_verify_folds_and_keys_each_selfsim_product_once(monkeypatch):
     # a*chiB, a*b_1 and a*b_2 have 4, 16 and 48 terms
     assert sorted(keyed, key=len) == [[s for s, _ in f.terms] for f in [achib, *abn]]
     assert sorted(witnessed, key=lambda f: len(f.terms)) == [achib, *abn]
-    assert not any(f in abn for f in verdicts)
     assert not any(f in abn for f in dists)
+    # the profile's fold, the products', a*chiB's strata and the a*chi_U's
+    assert len(folds) == 4
+    # the profile's units, the products' and the a*chi_U's
+    res = run("verify", "--example", "bundle", "--indices", "1,2,3")
+    assert res.exit_code == 0
+    assert len(units) == 3
+    assert verdicts == []
 
 
 def _double_floor(real):
@@ -430,6 +449,36 @@ def test_verify_check_fails_on_its_defect(
     assert checks[check]["status"] == "fail"
     assert checks[check]["detail"] == detail
     assert [c for c, v in checks.items() if v["status"] == "fail"] == [check]
+
+
+def _z_cylinder(real):
+    # the cylinder of a z-letter of alpha's channel: outside B, where a*chi_U
+    # is open
+    return lambda alpha: real(finword(zl(alpha[0].channel)))
+
+
+def _with_z99(real):
+    return lambda U: real(buset_union(U, buset(zs={99})))
+
+
+@pytest.mark.parametrize(
+    "args, name, defect, detail",
+    [
+        (SELFSIM, "st_chi_cylinder", _z_cylinder,
+         "a*chi_U not singular and nonzero at U = [y2[-18]]"),
+        (BUNDLE, "bundle_chi", _with_z99,
+         "a*chi_U not singular and nonzero at U = U(y[6];{x[6,3]})"),
+    ],
+    ids=["selfsim", "bundle"],
+)
+def test_verify_verdicts_fail_on_a_nonsingular_chi_u(
+    monkeypatch, args, name, defect, detail
+):
+    # the CHECK_DEFECTS rows of singularity-verdicts fail at a*b1; these
+    # break only the a*chi_U verdicts, so each a*b_n's still passes
+    test_verify_check_fails_on_its_defect(
+        monkeypatch, args, "singularity-verdicts", cli, name, defect, detail
+    )
 
 
 def test_every_check_has_a_failing_control():

@@ -129,6 +129,23 @@ coeffs = st.builds(Fraction, st.integers(-2, 2).filter(bool), st.integers(1, 12)
 stein_full = st.builds(
     lambda ts: st_make(ts), st.lists(st.tuples(s_elts, coeffs), max_size=2)
 )
+any_region = st.sampled_from([REGION_FULL, REGION_B])
+stein_any = st.builds(
+    lambda ts, kind: st_make(ts, kind),
+    st.lists(st.tuples(s_elts, coeffs), max_size=3),
+    any_region,
+)
+# terms sharing a few alphas and betas, so that many germs meet
+shared_words = st.sampled_from([EPS, finword(yl(1, 0)), finword(zl(2, K_ONE))])
+stein_shared = st.builds(
+    lambda ts, kind: st_make(ts, kind),
+    st.lists(
+        st.tuples(st.builds(SElt, shared_words, g_elts, shared_words), coeffs),
+        max_size=4,
+    ),
+    any_region,
+)
+stein_keyed = st.one_of(stein_any, stein_shared)
 
 
 def term_germs(f, suffix, tail):
@@ -485,19 +502,23 @@ def test_sup_dist_dominates_samples(f, g, data):
         assert abs(st_eval(f, gm) - st_eval(g, gm)) <= d
 
 
-flat_elts = st.builds(SElt, small_words, g_elts, st.just(EPS))
-stein_flat = st.builds(
-    lambda ts, kind: st_make(ts, kind),
-    st.lists(st.tuples(flat_elts, coeffs), max_size=3),
-    st.sampled_from([REGION_FULL, REGION_B]),
-)
-
-
 @settings(max_examples=150, deadline=None)
-@given(stein_flat, st.lists(stein_flat, min_size=1, max_size=4))
+@given(stein_keyed, st.lists(stein_keyed, min_size=1, max_size=4))
 # b_1 alone settles every y-branch at depth 1, beside a*chiB it does not;
 # a*chiB is singular and nonzero
 @example(a_chiB(), [st_bn(1), st_conv(st_a(), st_bn(1)), a_chiB(), SteinElt()])
+# the singular a*chi_U of two y-cylinders, whose source prefixes stay
+# alive below the root, beside the nonsingular a*b_1
+@example(
+    a_chiB(),
+    [
+        st_conv(st_a(), st_bn(1)),
+        st_conv(st_a(), st_chi_cylinder(finword(yl(1, 0)))),
+        st_conv(st_a(), st_chi_cylinder(finword(yl(2, -3)))),
+    ],
+)
+# zero elements fold to no class: distance 0, and every one singular
+@example(SteinElt(), [SteinElt()])
 def test_shared_fold_matches_each_elements_own_fold(ref, elements):
     # read against the first element only, as verify reads a*chiB
     parts = [ref, *elements]
@@ -507,7 +528,7 @@ def test_shared_fold_matches_each_elements_own_fold(ref, elements):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(stein_flat, min_size=1, max_size=4))
+@given(st.lists(stein_keyed, min_size=1, max_size=4))
 @example([st_chiB(), st_bn(1), st_bn(2), st_conv(st_a(), st_bn(1))])
 def test_shared_sup_table_matches_each_pair(elements):
     # the Cauchy profile's sups: one fold of every element, read pairwise
@@ -515,16 +536,6 @@ def test_shared_sup_table_matches_each_pair(elements):
     for i, f in enumerate(elements):
         for j, g in enumerate(elements):
             assert sups[i][j] == st_sup_dist(f, g)
-
-
-def test_shared_fold_rejects_source_prefixes():
-    flat = st_conv(st_a(), st_bn(1))
-    cut = st_chi_cylinder(finword(yl(1, 0)))
-    for elements in ([flat, st_bn(1), cut], [cut, flat]):
-        with pytest.raises(ValueError, match="empty source prefix"):
-            st_fold(elements)
-    zeros = [SteinElt(), SteinElt()]
-    assert fold_readings(st_fold, zeros, 1) == ([[0, 0]], [True, True])
 
 
 # ---------------------------------------------------------------------------
@@ -668,14 +679,6 @@ def stratum_covers(stratum, pattern):
     return pattern == stratum.pattern
 
 
-any_region = st.sampled_from([REGION_FULL, REGION_B])
-stein_any = st.builds(
-    lambda ts, kind: st_make(ts, kind),
-    st.lists(st.tuples(s_elts, coeffs), max_size=3),
-    any_region,
-)
-
-
 @settings(max_examples=60, deadline=None)
 @given(stein_any, stein_any)
 def test_settled_walk_matches_full_depth_oracle(f, g):
@@ -738,19 +741,6 @@ def oracle_eval(f, gm):
         ),
         Fraction(0),
     )
-
-
-# terms sharing a few alphas and betas, so that many germs meet
-shared_words = st.sampled_from([EPS, finword(yl(1, 0)), finword(zl(2, K_ONE))])
-stein_shared = st.builds(
-    lambda ts, kind: st_make(ts, kind),
-    st.lists(
-        st.tuples(st.builds(SElt, shared_words, g_elts, shared_words), coeffs),
-        max_size=4,
-    ),
-    any_region,
-)
-stein_keyed = st.one_of(stein_any, stein_shared)
 
 
 @settings(max_examples=300, deadline=None)
