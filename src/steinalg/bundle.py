@@ -131,14 +131,11 @@ class BUnitSet:
     zs: frozenset = frozenset()
     cols: tuple[tuple[int, ColTrace], ...] = ()
 
-    def default_trace(self) -> ColTrace:
-        return (self.eps, frozenset())
-
     def col(self, i: int) -> ColTrace:
         for key, trace in self.cols:
             if key == i:
                 return trace
-        return self.default_trace()
+        return (self.eps, frozenset())
 
     def is_empty(self) -> bool:
         return not self.eps and not self.zs and not self.cols
@@ -220,14 +217,10 @@ def _trace_intersect(t1: ColTrace, t2: ColTrace) -> ColTrace:
 
 
 def _trace_union(t1: ColTrace, t2: ColTrace) -> ColTrace:
-    (y1, s1), (y2, s2) = t1, t2
-    if y1 and y2:
-        return (True, s1 & s2)
-    if y1:
-        return (True, s1 - s2)
-    if y2:
-        return (True, s2 - s1)
-    return (False, s1 | s2)
+    """The complement of the intersection of the complements: within a
+    column the complement of (y, s) is (not y, s)."""
+    y, s = _trace_intersect((not t1[0], t1[1]), (not t2[0], t2[1]))
+    return (not y, s)
 
 
 def _merge(U: BUnitSet, V: BUnitSet, trace_op) -> BUnitSet:

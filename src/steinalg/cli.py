@@ -52,6 +52,7 @@ from .groups import (
     KElt,
     K_ONE,
     W_ONE,
+    _gelt,
     free_word,
     hom_pi,
     hom_tau,
@@ -115,12 +116,8 @@ def _sample_kelt(rng: random.Random) -> KElt:
 
 
 def _sample_gelt(rng: random.Random) -> GElt:
-    return GElt(
-        _sample_free(rng, H_GENS),
-        _sample_free(rng, F_GENS),
-        rng.randrange(-3, 4),
-        rng.randrange(-3, 4),
-    )
+    k = _sample_kelt(rng)
+    return _gelt(k.h, k.f, k.n, rng.randrange(-3, 4))
 
 
 def _sample_letter(rng: random.Random):
@@ -234,7 +231,7 @@ def _selfsim_support(achib: SteinElt, singular: bool, checks: list) -> None:
         bad = bad or f"support table has {len(strata)} strata, not 8"
     names = set()
     for s in strata:
-        pattern, f = s.pattern, str(s.base.g.f)
+        pattern, f = s.pattern, str(s.members[0].g.f)
         expect = Fraction(1) if f in ("1", "ab") else Fraction(-1)
         if s.interior or len(pattern) != 1 or pattern[0][:2] != ("gen", "y"):
             bad = bad or f"stratum of [{f}] on pattern {pattern}"
@@ -357,9 +354,7 @@ def _selfsim_effectiveness(rng: random.Random, checks: list) -> None:
         w = effectiveness_witness(g)
         if w.image == w.letter:
             bad = bad or f"witness letter not moved by {g}"
-        spec = strongly_fixed_spectrum(g)
-        zstat = {spec.family("z", ch).status for ch in (1, 2)}
-        if "nowhere" not in zstat:
+        if {("z", 1), ("z", 2)} <= strongly_fixed_spectrum(g):
             bad = bad or f"no non-cofinitely-fixed z-family for {g}"
     _check(
         checks,

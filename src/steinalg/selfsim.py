@@ -420,43 +420,23 @@ def germ_key(s: SElt, w: Word):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyFix:
-    """How a group element fixes one letter family: status 'cofinite' or
-    'nowhere'.  This action fixes a family strongly either entirely or not
-    at all."""
-
-    status: str
-
-
-@dataclass(frozen=True)
-class FixSpectrum:
-    families: tuple[tuple[tuple[str, int], FamilyFix], ...]
-
-    def family(self, fam: str, channel: int) -> FamilyFix:
-        return dict(self.families)[(fam, channel)]
-
-
-def strongly_fixed_spectrum(g: GElt) -> FixSpectrum:
-    """Which letters g fixes with trivial restriction, by family.
+def strongly_fixed_spectrum(g: GElt) -> frozenset[tuple[str, int]]:
+    """The ``(family, channel)`` pairs whose letters g fixes with trivial
+    restriction.  The action fixes a family strongly either entirely or
+    nowhere, so the set says which.
 
     yi[n] is strongly fixed iff zeta_i(g) = 0 and tau(g) = 1 (one condition
     for every n at once); zi[k] iff pi_i(g) = 1, since pi_i(g) k = k forces
     pi_i(g) = 1 and z-restrictions are always trivial.
     """
-    out = []
-    for ch in (1, 2):
-        ok = hom_zeta(ch, g) == 0 and hom_tau(g) == G_ONE
-        out.append((("y", ch), FamilyFix("cofinite" if ok else "nowhere")))
-    for ch in (1, 2):
-        ok = hom_pi(ch, g).is_identity()
-        out.append((("z", ch), FamilyFix("cofinite" if ok else "nowhere")))
-    return FixSpectrum(tuple(out))
+    fixed = {("z", ch) for ch in (1, 2) if hom_pi(ch, g).is_identity()}
+    if hom_tau(g) == G_ONE:
+        fixed |= {("y", ch) for ch in (1, 2) if hom_zeta(ch, g) == 0}
+    return frozenset(fixed)
 
 
 @dataclass(frozen=True)
 class EffectivenessWitness:
-    channel: int
     letter: Letter
     image: Letter
 
@@ -472,5 +452,5 @@ def effectiveness_witness(g: GElt) -> EffectivenessWitness:
     for ch in (1, 2):
         if not hom_pi(ch, g).is_identity():
             x = zl(ch, K_ONE)
-            return EffectivenessWitness(ch, x, act_letter(g, x))
+            return EffectivenessWitness(x, act_letter(g, x))
     raise AssertionError("unreachable")

@@ -58,7 +58,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional, Union
 
-from .groups import FreeWord, GElt, G_ONE, KElt, W_ONE, free_word, hom_pi, sphere
+from .groups import FreeWord, GElt, G_ONE, KElt, W_ONE, _gelt, free_word, hom_pi, sphere
 from .selfsim import (
     FinWord,
     Germ,
@@ -250,8 +250,8 @@ def st_eval(f: SteinElt, g: Germ) -> Fraction:
 
 
 def h_elt(h: FreeWord) -> GElt:
-    """Embed a word over c, d as a group element."""
-    return GElt(h, W_ONE, 0, 0)
+    """Embed a word over c, d as a group element, unchecked."""
+    return _gelt(h, W_ONE, 0, 0)
 
 
 def st_bn(n: int) -> SteinElt:
@@ -304,7 +304,6 @@ class SupportStratum:
 
     pattern: tuple[PatEntry, ...]
     rep_word: Word
-    base: SElt
     members: tuple[SElt, ...]
     value: Fraction
     interior: bool
@@ -421,7 +420,7 @@ def st_support_strata(f: SteinElt) -> tuple[SupportStratum, ...]:
             if num:
                 ms = tuple(elts[t] for t in sorted(members, key=rank.__getitem__))
                 value = Fraction(num, denom)
-                strata.append(SupportStratum(pattern, rep, ms[0], ms, value, interior))
+                strata.append(SupportStratum(pattern, rep, ms, value, interior))
     return tuple(strata)
 
 

@@ -63,7 +63,6 @@ class ParseError(ValueError):
     def __init__(self, text: str, pos: int, message: str) -> None:
         self.text = text
         self.pos = pos
-        self.message = message
         super().__init__(f"{message} at position {pos}")
 
     def diagnostic(self) -> str:

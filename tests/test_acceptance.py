@@ -489,7 +489,7 @@ def test_criterion_07_singularity_verdicts():
     for s in v.strata:
         ok = ok and not s.interior and len(s.pattern) == 1
         ok = ok and s.pattern[0][0] == "gen" and s.pattern[0][1] == "y"
-        names.add((s.pattern[0][2], str(s.base.g.f)))
+        names.add((s.pattern[0][2], str(s.members[0].g.f)))
     ok = ok and names == {(ch, t) for ch in (1, 2) for t in ("1", "a", "b", "ab")}
     for n in (1, 2):
         abn = st_conv(st_a(), st_bn(n))
@@ -591,10 +591,8 @@ def test_criterion_09_effectiveness_certificate():
             g = _sample_gelt(rng)
         wit = effectiveness_witness(g)
         ok = ok and wit.image != wit.letter
-        ok = ok and not hom_pi(wit.channel, g).is_identity()
-        spec = strongly_fixed_spectrum(g)
-        zstats = [spec.family("z", ch).status for ch in (1, 2)]
-        ok = ok and "nowhere" in zstats
+        ok = ok and not hom_pi(wit.letter.channel, g).is_identity()
+        ok = ok and not {("z", 1), ("z", 2)} <= strongly_fixed_spectrum(g)
     elapsed = time.monotonic() - start
     _report(
         9,

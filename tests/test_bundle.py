@@ -216,6 +216,10 @@ def test_canonicalization_drops_defaults():
 
 
 @given(unit_sets, unit_sets)
+@example(  # cofinite and finite, sharing column 1 and z-index 0
+    buset(eps=True, zs={0}, cols={1: (True, frozenset({2}))}),
+    buset(zs={0, 1}, cols={1: (False, frozenset({1, 2}))}),
+)
 def test_set_ops_match_membership_oracle(U, V):
     I, J = buset_intersect(U, V), buset_union(U, V)
     for u in GRID:

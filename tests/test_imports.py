@@ -23,6 +23,12 @@ read as an attribute somewhere in the package or in
 check goes by name, so a method whose name another class also uses
 passes; a method that only tests call is dead surface.
 
+Every field of a package class (an annotated name in its body, such as a
+dataclass field, or a ``self.<name> =`` assignment in it) is read as an
+attribute somewhere in the package, the tests or ``bench/layertrace.py``.
+The check goes by name as well; a field that nothing reads is write-only
+state.
+
 Every name the package exports (``__all__`` of its ``__init__``) is used
 by another package module or listed in README's "Public API" section, so
 an export that nothing reaches must be documented as public API.  README's
@@ -152,27 +158,52 @@ def uncalled_list(readme: str) -> set[str]:
     return set(re.findall(r"`(\w+)`", sentence))
 
 
+def attributes_read(sources: dict[str, str], readers: tuple[str, ...]) -> set[str]:
+    """The names that ``sources`` or ``readers`` load as an attribute."""
+    return {
+        node.attr
+        for src in [*sources.values(), *readers]
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def unused_methods(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
     """``module.Class.method`` for each non-dunder method or property of
     a class in ``sources`` whose name neither ``sources`` nor ``readers``
     read as an attribute."""
-    trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = {
-        node.attr
-        for tree in [*trees.values(), *map(ast.parse, readers)]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-    }
+    read = attributes_read(sources, readers)
     return sorted(
         f"{mod}.{cls.name}.{fn.name}"
-        for mod, tree in trees.items()
-        for cls in ast.walk(tree)
+        for mod, src in sources.items()
+        for cls in ast.walk(ast.parse(src))
         if isinstance(cls, ast.ClassDef)
         for fn in cls.body
         if isinstance(fn, ast.FunctionDef)
         and not (fn.name.startswith("__") and fn.name.endswith("__"))
         and fn.name not in read
     )
+
+
+def write_only_fields(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
+    """``module.Class.name`` for each annotated field in a class body, or
+    ``self.<name> =`` assignment in a class, whose name neither ``sources``
+    nor ``readers`` read as an attribute."""
+    read = attributes_read(sources, readers)
+    found = []
+    for mod, src in sources.items():
+        for cls in ast.walk(ast.parse(src)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = {s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)}
+            names |= {
+                n.attr
+                for n in ast.walk(cls)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and getattr(n.value, "id", None) == "self"
+            }
+            found += [f"{mod}.{cls.name}.{name}" for name in names - read]
+    return sorted(found)
 
 
 def _callee(call: ast.Call):
@@ -300,6 +331,22 @@ def test_every_method_is_used():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     layertrace = (ROOT / "bench" / "layertrace.py").read_text()
     assert unused_methods(sources, (layertrace,)) == []
+
+
+def test_no_field_is_write_only():
+    sample = {
+        "a": (
+            "@dataclass\nclass C:\n    used: int\n    stale: int = 0\n"
+            "class E(Exception):\n"
+            "    def __init__(self, m):\n        self.m = m\n        self.n = m\n"
+        ),
+        "b": "c.used\ne.n\nc.stale = 1\n",
+    }
+    assert write_only_fields(sample, ()) == ["a.C.stale", "a.E.m"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    readers.append((ROOT / "bench" / "layertrace.py").read_text())
+    assert write_only_fields(sources, tuple(readers)) == []
 
 
 def test_every_defaulted_parameter_is_set_by_the_package():

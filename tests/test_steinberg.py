@@ -275,7 +275,7 @@ def test_a_chiB_strata_table():
     assert all(len(s.members) == 1 for s in strata)
     by_value = {}
     for s in strata:
-        by_value.setdefault(s.value, []).append(s.base.g.f.chars)
+        by_value.setdefault(s.value, []).append(s.members[0].g.f.chars)
     assert sorted(by_value[Fraction(1)]) == ["", "", "ab", "ab"]
     assert sorted(by_value[Fraction(-1)]) == ["a", "a", "b", "b"]
 
@@ -450,7 +450,7 @@ def two_pass_sup_dist(f, g):
     combined = st_make([(s, 1) for s, _ in f.terms + g.terms])
     best = Fraction(0)
     for stratum in st_support_strata(combined):
-        gm = Germ(stratum.base, stratum.rep_word)
+        gm = Germ(stratum.members[0], stratum.rep_word)
         best = max(best, abs(st_eval(f, gm) - st_eval(g, gm)))
     return best
 
@@ -558,14 +558,13 @@ def strata_as_set(f):
 
 
 def assert_members_sorted(f):
-    """Members and base of every stratum in ``SElt.sort_key`` order, and
+    """Members of every stratum in ``SElt.sort_key`` order, and
     the same strata whatever the order of f's terms."""
     # built directly, so the terms stay in reversed order
     backwards = SteinElt(f.terms[::-1], f.region)
     for h in (f, backwards):
         for s in st_support_strata(h):
             assert s.members == tuple(sorted(s.members, key=SElt.sort_key))
-            assert s.base == s.members[0]
     assert strata_as_set(backwards) == strata_as_set(f)
 
 
@@ -590,7 +589,7 @@ def test_strata_rep_values_consistent():
     # every reported stratum value equals the evaluation at its representative
     for f in (a_chiB(), st_conv(st_a(), st_bn(1)), st_bn(2)):
         for s in st_support_strata(f):
-            assert st_eval(f, Germ(s.base, s.rep_word)) == s.value
+            assert st_eval(f, Germ(s.members[0], s.rep_word)) == s.value
 
 
 # ---------------------------------------------------------------------------
