@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Union
 
-from .groups import FreeWord, H_GENS, W_ONE, sphere
+from .groups import FreeWord, H_GENS, W_ONE, _H_SET, sphere
 
 # ---------------------------------------------------------------------------
 # units and arrows
@@ -94,7 +94,7 @@ class BArrow:
     def __post_init__(self) -> None:
         if self.bit not in (0, 1):
             raise ValueError("bit must be 0 or 1")
-        if not self.h.gens() <= set(H_GENS):
+        if not self.h.gens() <= _H_SET:
             raise ValueError(f"fiber word {self.h} not over {H_GENS}")
         if self.unit.kind == "x" and (self.bit or not self.h.is_identity()):
             raise ValueError("x-fibers are trivial")
@@ -263,20 +263,22 @@ class BSteinElt:
 def bstein(terms: Iterable[BTerm], flag: str = FLAG_FULL) -> BSteinElt:
     """Merge same-(bit, h, region) terms, drop zeros and empty regions.
 
-    Coefficients (ints or fractions) are added as given; each one that
-    survives becomes a Fraction only on output."""
+    Coefficients (ints or fractions) are added as given, each key hashed
+    once; each sum that survives becomes a Fraction only on output."""
     if flag not in _FLAG_KINDS:
         raise ValueError(f"unknown flag {flag!r}")
-    acc: dict = {}
+    slots: dict = {}
+    sums: list = []
     for bit, h, coeff, region in terms:
-        if region.is_empty():
-            continue
-        key = (bit, h, region)
-        prev = acc.get(key)
-        acc[key] = coeff if prev is None else prev + coeff
+        if not region.is_empty():
+            i = slots.setdefault((bit, h, region), len(sums))
+            if i < len(sums):
+                sums[i] += coeff
+            else:
+                sums.append(coeff)
     out = [
         (bit, h, c if type(c) is Fraction else Fraction(c), region)
-        for (bit, h, region), c in acc.items()
+        for (bit, h, region), c in zip(slots, sums)
         if c != 0
     ]
     out.sort(key=lambda t: (t[0], t[1].sort_key(), t[3].sort_key()))

@@ -53,6 +53,7 @@ from .groups import (
     K_ONE,
     W_ONE,
     _gelt,
+    _kelt,
     free_word,
     hom_pi,
     hom_tau,
@@ -62,8 +63,10 @@ from .groups import (
 from .repnorm import CauchyProfile, cauchy_profile, fold_readings, rho_estimate
 from .selfsim import (
     EPS,
+    FinWord,
     Germ,
     S_ONE,
+    _letter,
     effectiveness_witness,
     finword,
     germ_key,
@@ -101,36 +104,39 @@ OUT_DIR_ENV = "STEINALG_OUT_DIR"
 # ---------------------------------------------------------------------------
 
 
-def _sample_free(rng: random.Random, gens: tuple[str, ...]) -> FreeWord:
-    alphabet = gens + tuple(g.upper() for g in gens)
-    chars = "".join(rng.choice(alphabet) for _ in range(rng.randrange(4)))
-    return free_word(chars)
+# Sampled values are valid by construction and built unchecked.  The draw
+# contract: only ``choice``, ``randrange`` and ``random``, the same calls in
+# the same order as sampling through the public constructors (no ``choices``,
+# ``sample`` or private ``_randbelow``), so each seed draws the same values.
+_H_ALPHABET = H_GENS + tuple(g.upper() for g in H_GENS)
+_F_ALPHABET = F_GENS + tuple(g.upper() for g in F_GENS)
+
+
+def _sample_free(rng: random.Random, alphabet: tuple[str, ...]) -> FreeWord:
+    return free_word("".join([rng.choice(alphabet) for _ in range(rng.randrange(4))]))
 
 
 def _sample_kelt(rng: random.Random) -> KElt:
-    return KElt(
-        _sample_free(rng, H_GENS),
-        _sample_free(rng, F_GENS),
-        rng.randrange(-3, 4),
-    )
+    h, f = _sample_free(rng, _H_ALPHABET), _sample_free(rng, _F_ALPHABET)
+    return _kelt(h, f, rng.randrange(-3, 4))
 
 
 def _sample_gelt(rng: random.Random) -> GElt:
-    k = _sample_kelt(rng)
-    return _gelt(k.h, k.f, k.n, rng.randrange(-3, 4))
+    h, f = _sample_free(rng, _H_ALPHABET), _sample_free(rng, _F_ALPHABET)
+    return _gelt(h, f, rng.randrange(-3, 4), rng.randrange(-3, 4))
 
 
 def _sample_letter(rng: random.Random):
     if rng.random() < 0.5:
-        return yl(rng.choice((1, 2)), rng.randrange(-5, 6))
-    return zl(rng.choice((1, 2)), _sample_kelt(rng))
+        return _letter("y", rng.choice((1, 2)), rng.randrange(-5, 6))
+    return _letter("z", rng.choice((1, 2)), _sample_kelt(rng))
 
 
 def _sample_word(rng: random.Random):
-    head = finword(*(_sample_letter(rng) for _ in range(rng.randrange(4))))
+    head = FinWord(tuple([_sample_letter(rng) for _ in range(rng.randrange(4))]))
     if rng.random() < 0.4:
-        period = finword(*(_sample_letter(rng) for _ in range(rng.randrange(1, 3))))
-        return omega(head, period)
+        period = [_sample_letter(rng) for _ in range(rng.randrange(1, 3))]
+        return omega(head, FinWord(tuple(period)))
     return head
 
 

@@ -10,8 +10,8 @@ generator and uppercase for its inverse.  Values are validated where they
 enter: the public ``FreeWord``, ``GElt`` and ``KElt`` constructors,
 :func:`free_word` and the ``syntax`` parsers.  So structural equality is
 group equality, and products, inverses and homomorphic images of valid
-values, and the words of spheres and balls, are built unchecked
-(``_reduced``, ``_gelt``, ``_kelt``).
+values, the words of spheres and balls, and the CLI's seeded samples, all
+valid by construction, are built unchecked (``_reduced``, ``_gelt``, ``_kelt``).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class FreeWord:
         return self.chars.count(gen) - self.chars.count(gen.upper())
 
     def gens(self) -> frozenset[str]:
-        return frozenset(ch.lower() for ch in self.chars)
+        return frozenset(self.chars.lower())
 
     def sort_key(self):
         return (len(self.chars), self.chars)
@@ -100,6 +100,13 @@ def free_mul(u: FreeWord, v: FreeWord) -> FreeWord:
     return _reduced(a[: len(a) - k] + b[k:])
 
 
+def _check_parts(x) -> None:
+    if not x.h.gens() <= _H_SET:
+        raise ValueError(f"h-part {x.h} not over {H_GENS}")
+    if not x.f.gens() <= _F_SET:
+        raise ValueError(f"f-part {x.f} not over {F_GENS}")
+
+
 @dataclass(frozen=True)
 class GElt:
     """Element (h, f, n, m) of G = H x F x Z x Z."""
@@ -109,11 +116,7 @@ class GElt:
     n: int = 0
     m: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.h.gens() <= _H_SET:
-            raise ValueError(f"h-part {self.h} not over {H_GENS}")
-        if not self.f.gens() <= _F_SET:
-            raise ValueError(f"f-part {self.f} not over {F_GENS}")
+    __post_init__ = _check_parts
 
     def __mul__(self, other: "GElt") -> "GElt":
         return group_mul(self, other)
@@ -122,12 +125,7 @@ class GElt:
         return group_inv(self)
 
     def is_identity(self) -> bool:
-        return (
-            self.h.is_identity()
-            and self.f.is_identity()
-            and self.n == 0
-            and self.m == 0
-        )
+        return not (self.h.chars or self.f.chars or self.n or self.m)
 
     def sort_key(self):
         return (self.h.sort_key(), self.f.sort_key(), self.n, self.m)
@@ -165,11 +163,7 @@ class KElt:
     f: FreeWord = W_ONE
     n: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.h.gens() <= _H_SET:
-            raise ValueError(f"h-part {self.h} not over {H_GENS}")
-        if not self.f.gens() <= _F_SET:
-            raise ValueError(f"f-part {self.f} not over {F_GENS}")
+    __post_init__ = _check_parts
 
     def __mul__(self, other: "KElt") -> "KElt":
         return _kelt(self.h * other.h, self.f * other.f, self.n + other.n)
@@ -178,7 +172,7 @@ class KElt:
         return _kelt(self.h.inv(), self.f.inv(), -self.n)
 
     def is_identity(self) -> bool:
-        return self.h.is_identity() and self.f.is_identity() and self.n == 0
+        return not (self.h.chars or self.f.chars or self.n)
 
     def sort_key(self):
         return (self.h.sort_key(), self.f.sort_key(), self.n)

@@ -16,7 +16,8 @@ S-elements are the partial transformations alpha g beta^* (prepend alpha,
 act by g, require and strip the prefix beta) together with a zero.
 Products, inverses and germs are all exact and structural.  Letters are
 validated where they enter (``Letter``, :func:`yl`, :func:`zl` and the
-``syntax`` parsers); the action builds its image letters unchecked.
+``syntax`` parsers); the action's image letters and the CLI's seeded
+samples are valid by construction and built unchecked (``_letter``).
 """
 
 from __future__ import annotations
@@ -201,9 +202,8 @@ def _act_letters(g: GElt, letters: tuple) -> tuple[tuple, GElt]:
     Once the running element is the identity the remaining letters are
     copied, so at most ``STABILIZATION_DEPTH`` letters are acted on.
     """
-    imgs = ()
-    i = 0
-    while i < len(letters) and not g.is_identity():
+    imgs, i = (), 0
+    while i < len(letters) and (g.h.chars or g.f.chars or g.n or g.m):
         x = letters[i]
         shift = g.n if x.channel == 1 else g.m
         if x.family == "y":
@@ -307,7 +307,7 @@ def s_mul(s: SElt, t: SElt) -> SElt:
     b1, a2 = s.beta.letters, t.alpha.letters
     k = len(b1)
     if len(a2) >= k:
-        if a2[:k] != b1:
+        if k and a2[:k] != b1:
             return S_ZERO
         img, r = _act_letters(s.g, a2[k:])
         alpha = FinWord(s.alpha.letters + img) if img else s.alpha
@@ -403,7 +403,8 @@ def germ_key(s: SElt, w: Word):
     on letters of a longer one, and the oracle for the image keys.
     """
     k = len(s.beta.letters)
-    src = w.prefix(k + STABILIZATION_DEPTH).letters
+    end = k + STABILIZATION_DEPTH
+    src = w.letters[:end] if isinstance(w, FinWord) else w.prefix(end).letters
     if s.zero or src[:k] != s.beta.letters:
         raise ValueError(f"germ undefined: {s} at {w}")
     img, residual = _act_letters(s.g, src[k:])
@@ -449,8 +450,5 @@ def effectiveness_witness(g: GElt) -> EffectivenessWitness:
     """
     if g.is_identity():
         raise ValueError("the identity moves nothing")
-    for ch in (1, 2):
-        if not hom_pi(ch, g).is_identity():
-            x = zl(ch, K_ONE)
-            return EffectivenessWitness(x, act_letter(g, x))
-    raise AssertionError("unreachable")
+    x = zl(2 if hom_pi(1, g).is_identity() else 1, K_ONE)
+    return EffectivenessWitness(x, act_letter(g, x))

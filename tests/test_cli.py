@@ -21,7 +21,7 @@ from steinalg.bundle import (
     barrow, bstein, bstein_conv, bundle_a, bundle_bn, bundle_chiB, buset, buset_union
 )
 from steinalg.cli import main
-from steinalg.groups import GElt, free_word
+from steinalg.groups import FreeWord, GElt, free_word
 from steinalg.repnorm import LimitRow
 from steinalg.selfsim import finword, zl
 from steinalg.steinberg import st_a, st_bn, st_chiB, st_conv
@@ -609,6 +609,39 @@ def test_verify_builds_each_bundle_product_once(monkeypatch):
     rights = [g for _, g in calls]
     wanted = (bundle_chiB(), bundle_bn(1), bundle_bn(2))
     assert [rights.count(g) for g in wanted] == [1, 1, 1]
+
+
+def test_verify_bundle_merge_hashes_each_key_once(monkeypatch):
+    # bstein merges (bit, h, region) keys with one dict operation per term:
+    # each term's word and region are hashed at most once from bstein
+    merge = bundle.bstein.__code__
+    hashes = {FreeWord: 0, bundle.BUnitSet: 0}
+    terms = []
+
+    def counted(cls):
+        real = cls.__hash__
+
+        def __hash__(self):
+            hashes[cls] += sys._getframe(1).f_code is merge
+            return real(self)
+
+        return __hash__
+
+    real = bundle.bstein
+
+    def counting(ts, *flag):
+        ts = list(ts)
+        terms.extend(ts)
+        return real(ts, *flag)
+
+    for cls in hashes:
+        monkeypatch.setattr(cls, "__hash__", counted(cls))
+    for module in (bundle, cli):
+        monkeypatch.setattr(module, "bstein", counting)
+    res = run("verify", "--example", "bundle", "--indices", "1,2,3")
+    assert res.exit_code == 0
+    merged = sum(1 for *_, region in terms if not region.is_empty())
+    assert all(0 < count <= merged for count in hashes.values())
 
 
 def _letters_inverted(f):
