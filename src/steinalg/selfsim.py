@@ -144,13 +144,10 @@ class OmegaWord:
             raise ValueError("period must be nonempty")
 
     def prefix(self, n: int) -> FinWord:
-        if n <= len(self.head):
-            return self.head[:n]
-        out = list(self.head.letters)
-        p = self.period.letters
+        out = self.head.letters
         while len(out) < n:
-            out.extend(p)
-        return FinWord(tuple(out[:n]))
+            out += self.period.letters
+        return FinWord(out[:n])
 
     def startswith(self, prefix: FinWord) -> bool:
         return self.prefix(len(prefix)) == prefix
