@@ -199,7 +199,8 @@ def _act_letters(g: GElt, letters: tuple) -> tuple[tuple, GElt]:
     Once the running element is the identity the remaining letters are
     copied, so at most ``STABILIZATION_DEPTH`` letters are acted on.
     """
-    imgs, i = (), 0
+    imgs = ()
+    i = 0
     while i < len(letters) and (g.h.chars or g.f.chars or g.n or g.m):
         x = letters[i]
         shift = g.n if x.channel == 1 else g.m
