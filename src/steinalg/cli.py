@@ -171,15 +171,17 @@ def _selfsim_identities(rng: random.Random, checks: list) -> None:
     a, tau_a = s_from_group(a_g), s_from_group(hom_tau(a_g))
     # shifts[ch] moves the y-indices of channel ch, and of no other channel
     shifts = {1: s_from_group(GElt(n=1)), 2: s_from_group(GElt(m=1))}
+    # ys[ch][i] is y_ch[i - 20], each built once; a shift's image is the next
+    ys = {c: [s_from_word(finword(yl(c, n))) for n in range(-20, 22)] for c in (1, 2)}
     bad = ""
     for n in range(-20, 21):
         for ch in (1, 2):
-            y = s_from_word(finword(yl(ch, n)))
+            y = ys[ch][n + 20]
             if s_mul(S_ONE, y) != y or s_mul(y, S_ONE) != y:
                 bad = bad or f"1y=y1 fails at y{ch}[{n}]"
             if s_mul(a, y) != s_mul(y, tau_a):
                 bad = bad or f"ay=y(1,0) fails at y{ch}[{n}]"
-            if s_mul(shifts[ch], y) != s_from_word(finword(yl(ch, n + 1))):
+            if s_mul(shifts[ch], y) != ys[ch][n + 21]:
                 bad = bad or f"(1,0)y=y' fails at y{ch}[{n}]"
             if s_mul(shifts[3 - ch], y) != y:
                 bad = bad or f"cross-channel shift moves y{ch}[{n}]"
@@ -656,7 +658,34 @@ def _shared(fn):
     return fn
 
 
-@click.group()
+def _show_help(ctx, param, value):
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color)
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """Makes click's ``--help`` option without gettext, which imports ``locale``."""
+
+    help_opt = None
+
+    def get_help_option(self, ctx):
+        names = self.get_help_option_names(ctx)
+        if not names or not self.add_help_option:
+            return None
+        # one object per command: click orders eager callbacks by identity
+        if self.help_opt is None:
+            self.help_opt = click.Option(
+                names, is_flag=True, expose_value=False, is_eager=True,
+                callback=_show_help, help="Show this message and exit.")
+        return self.help_opt
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact verification of two groupoid counterexamples."""
 

@@ -151,18 +151,19 @@ def _power_lower(shape, rows, cols, vals, tol: float):
         dense = np.zeros(shape)
         np.add.at(dense, (rows, cols), vals)
         v = np.linalg.svd(dense)[2][0]
-        return float(np.linalg.norm(dense @ v) / np.linalg.norm(v)), 1
+        image = dense @ v
+        return math.sqrt(image.dot(image)) / math.sqrt(v.dot(v)), 1
     v = np.full(ncols, 1.0 / math.sqrt(ncols))
     sigma_prev = -1.0
     sigma = 0.0
     it = 0
     for it in range(1, MAX_ITER + 1):
         u = _spmv(rows, cols, vals, v, nrows)
-        sigma = float(np.linalg.norm(u))
+        sigma = math.sqrt(u.dot(u))
         if sigma == 0.0:
             return 0.0, it
         w = _spmv(cols, rows, vals, u, ncols)
-        norm_w = float(np.linalg.norm(w))
+        norm_w = math.sqrt(w.dot(w))
         if norm_w == 0.0:
             break
         v = w / norm_w

@@ -796,6 +796,74 @@ def test_eval_deep_nesting(example, atom):
 # ---------------------------------------------------------------------------
 
 
+_SHARED_HELP = (
+    "Options:\n"
+    "  --example [selfsim|bundle]  Which counterexample groupoid to run on.\n"
+    "                              [default: selfsim]\n"
+    "  --indices TEXT              Comma list of scattering indices n (empty for\n"
+    "                              identity suites only).  [default: 1,2]\n"
+    "  --radius INTEGER            Truncation radius for norm estimates.  [default:\n"
+    "                              6]\n"
+    "  --tol FLOAT                 Power-iteration tolerance.  [default: 1e-06]\n"
+    "  --seed INTEGER              Sampling seed.  [default: 0]\n"
+    "  --out TEXT                  Output file or directory (default:\n"
+    "                              $STEINALG_OUT_DIR or stdout).\n"
+    "  --format [json|csv]         Report format.  [default: json]\n"
+    "  --help                      Show this message and exit.\n"
+)
+
+# the CLI's own text at 80 columns, recorded before the CLI made its own
+# --help option: (exit code, stdout, stderr)
+PINNED_TEXT = {
+    ("--help",): (0, (
+        "Usage: steinalg [OPTIONS] COMMAND [ARGS]...\n\n"
+        "  Exact verification of two groupoid counterexamples.\n\n"
+        "Options:\n"
+        "  --help  Show this message and exit.\n\n"
+        "Commands:\n"
+        "  eval     Parse an expression and print its normal form.\n"
+        "  scatter  Tabulate certified sphere-average norm estimates.\n"
+        "  verify   Run the full check pipeline and emit a report.\n"
+    ), ""),
+    ("verify", "--help"): (0, (
+        "Usage: steinalg verify [OPTIONS]\n\n"
+        "  Run the full check pipeline and emit a report.\n\n" + _SHARED_HELP
+    ), ""),
+    ("scatter", "--help"): (0, (
+        "Usage: steinalg scatter [OPTIONS]\n\n"
+        "  Tabulate certified sphere-average norm estimates.\n\n"
+        "  The walk norms belong to the free factor on c, d, which both examples share,\n"
+        "  and nothing is sampled: --example and --seed are only echoed into the report's\n"
+        "  config.\n\n" + _SHARED_HELP
+    ), ""),
+    ("eval", "--help"): (0, (
+        "Usage: steinalg eval [OPTIONS] EXPRESSION\n\n"
+        "  Parse an expression and print its normal form.\n\n"
+        "Options:\n"
+        "  --example [selfsim|bundle]  selfsim parses semigroup expressions, bundle\n"
+        "                              parses unit sets.  [default: selfsim]\n"
+        "  --help                      Show this message and exit.\n"
+    ), ""),
+    ("verify", "--bogus"): (2, "", (
+        "Usage: steinalg verify [OPTIONS]\n"
+        "Try 'steinalg verify --help' for help.\n\n"
+        "Error: No such option '--bogus'. Did you mean '--out'?\n"
+    )),
+    ("scatter", "--radius", "0"): (2, "", (
+        "Usage: steinalg scatter [OPTIONS]\n"
+        "Try 'steinalg scatter --help' for help.\n\n"
+        "Error: Invalid value for '--radius': radius must be at least 1\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_TEXT))
+def test_help_pages_and_usage_errors_are_pinned(monkeypatch, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    res = CliRunner().invoke(main, args, prog_name="steinalg")
+    assert (res.exit_code, res.stdout, res.stderr) == PINNED_TEXT[args]
+
+
 def test_bad_flags_exit_2():
     assert run("verify", "--indices", "1,x").exit_code == 2
     assert run("verify", "--radius", "0").exit_code == 2

@@ -21,7 +21,10 @@ Every method or property of a package class (dunder methods aside) is
 read as an attribute somewhere in the package or in
 ``bench/layertrace.py``, which reads ``SparseOperator.entries``.  The
 check goes by name, so a method whose name another class also uses
-passes; a method that only tests call is dead surface.
+passes; a method that only tests call is dead surface.  A method that a
+base class from outside the package defines (an override of a hook such
+as click's ``Command.get_help_option``) is called by that base's code and
+counts as used.
 
 Every field of a package class (an annotated name in its body, such as a
 dataclass field, or a ``self.<name> =`` assignment in it) is read as an
@@ -43,10 +46,12 @@ the two layers that ``bench/test_oracle.py`` asserts it reaches.
 The command line runs on click and numpy alone: a fresh interpreter that
 imports ``steinalg.cli`` loads no scipy module, builds no step table of
 the ball-operator kernel, and numpy starts with one OpenBLAS thread unless
-the caller chose otherwise.
+the caller chose otherwise.  Neither that import nor a ``scatter``,
+``verify`` or ``eval`` call loads ``locale``.
 """
 
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -168,21 +173,62 @@ def attributes_read(sources: dict[str, str], readers: tuple[str, ...]) -> set[st
     }
 
 
+def _resolve(expr: ast.expr, namespace: dict):
+    """The object a name or attribute chain denotes in ``namespace``."""
+    if isinstance(expr, ast.Attribute):
+        return getattr(_resolve(expr.value, namespace), expr.attr, None)
+    return namespace.get(expr.id) if isinstance(expr, ast.Name) else None
+
+
+def inherited_names(tree: ast.Module) -> dict[str, set[str]]:
+    """For each class of a module, the attribute names that its bases from
+    outside the package define, also through bases of its own module.  A
+    base is resolved through the module's absolute imports and builtins."""
+    namespace = dict(vars(builtins))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                root = a.name if a.asname else a.name.split(".")[0]
+                namespace[a.asname or root] = importlib.import_module(root)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module != "__future__":
+                module = importlib.import_module(node.module)
+                for a in node.names:
+                    namespace[a.asname or a.name] = getattr(module, a.name, None)
+    classes = {c.name: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+
+    def names(cls: ast.ClassDef) -> set[str]:
+        found: set[str] = set()
+        for base in cls.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                found |= names(classes[base.id])
+            elif isinstance(obj := _resolve(base, namespace), type):
+                found |= set(dir(obj))
+        return found
+
+    return {name: names(cls) for name, cls in classes.items()}
+
+
 def unused_methods(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
     """``module.Class.method`` for each non-dunder method or property of
     a class in ``sources`` whose name neither ``sources`` nor ``readers``
-    read as an attribute."""
+    read as an attribute, and that no base from outside the package
+    defines: such an override is called by the code that defines it."""
     read = attributes_read(sources, readers)
-    return sorted(
-        f"{mod}.{cls.name}.{fn.name}"
-        for mod, src in sources.items()
-        for cls in ast.walk(ast.parse(src))
-        if isinstance(cls, ast.ClassDef)
-        for fn in cls.body
-        if isinstance(fn, ast.FunctionDef)
-        and not (fn.name.startswith("__") and fn.name.endswith("__"))
-        and fn.name not in read
-    )
+    found = []
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        inherited = inherited_names(tree)
+        found += [
+            f"{mod}.{cls.name}.{fn.name}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and fn.name not in read | inherited[cls.name]
+        ]
+    return sorted(found)
 
 
 def write_only_fields(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
@@ -328,6 +374,19 @@ def test_every_method_is_used():
     }
     reader = "class T:\n    def unread(self): pass\nc.traced\n"
     assert unused_methods(sample, (reader,)) == ["a.C.dead", "a.C.stale"]
+    # an override of a base from outside the package is called by that
+    # base's code, also through a subclass in the module; a method that
+    # no base defines is still reported
+    sample["c"] = (
+        "import json\n"
+        "class Enc(json.JSONEncoder):\n"
+        "    def default(self, o): pass\n"
+        "    def unhooked(self): pass\n"
+        "class Sub(Enc):\n"
+        "    def encode(self, o): pass\n"
+    )
+    expected = ["a.C.dead", "a.C.stale", "c.Enc.unhooked"]
+    assert unused_methods(sample, (reader,)) == expected
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     layertrace = (ROOT / "bench" / "layertrace.py").read_text()
     assert unused_methods(sources, (layertrace,)) == []
@@ -404,13 +463,19 @@ def test_every_traced_layer_is_defined(monkeypatch):
     assert all(calls.values()), calls
 
 
-def _fresh_import(env_threads):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if env_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = env_threads
+def _src_env(drop: str) -> dict:
+    """This environment without ``drop``, with ``src`` first on the path."""
+    env = {k: v for k, v in os.environ.items() if k != drop}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def _fresh_import(env_threads):
+    env = _src_env("OPENBLAS_NUM_THREADS")
+    if env_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_threads
     code = (
         "import json, os, sys\n"
         "import steinalg.cli\n"
@@ -430,3 +495,31 @@ def test_cli_import_loads_no_scipy_and_one_blas_thread():
     # and builds no ball-operator step table: those wait for the first build
     assert _fresh_import(None) == {"threads": "1", "scipy": [], "step_tables": 0}
     assert _fresh_import("2") == {"threads": "2", "scipy": [], "step_tables": 0}
+
+
+def test_no_cli_call_imports_locale():
+    # click's own --help option translates its text with gettext, whose
+    # first lookup imports locale; the CLI's option carries plain text
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import steinalg.cli\n"
+        "seen = {'import': 'locale' in sys.modules}\n"
+        "for args in (['scatter', '--indices', '1,2'],\n"
+        "             ['verify', '--indices', '1,2'],\n"
+        "             ['verify', '--example', 'bundle', '--indices', '1,2'],\n"
+        "             ['eval', 'a']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            steinalg.cli.main(args)\n"
+        "        except SystemExit as exc:\n"
+        "            assert not exc.code, (args, exc.code)\n"
+        "    seen[' '.join(args)] = 'locale' in sys.modules\n"
+        "print(json.dumps(seen))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env("STEINALG_OUT_DIR"),
+        capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(out.stdout)
+    assert len(seen) == 5
+    assert not any(seen.values()), seen

@@ -405,6 +405,54 @@ def test_opnorm_power_path_matches_oracle():
     assert est.iterations > 1
 
 
+def _power_lower_with_linalg_norm(shape, rows, cols, vals, tol):
+    """``repnorm._power_lower`` with every norm taken by ``np.linalg.norm``."""
+    nrows, ncols = shape
+    if len(vals) == 0 or ncols == 0:
+        return 0.0, 0
+    if max(shape) <= 600:
+        dense = np.zeros(shape)
+        np.add.at(dense, (rows, cols), vals)
+        v = np.linalg.svd(dense)[2][0]
+        return float(np.linalg.norm(dense @ v) / np.linalg.norm(v)), 1
+    v = np.full(ncols, 1.0 / math.sqrt(ncols))
+    sigma_prev, sigma, it = -1.0, 0.0, 0
+    for it in range(1, repnorm.MAX_ITER + 1):
+        u = repnorm._spmv(rows, cols, vals, v, nrows)
+        sigma = float(np.linalg.norm(u))
+        if sigma == 0.0:
+            return 0.0, it
+        w = repnorm._spmv(cols, rows, vals, u, ncols)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            break
+        v = w / norm_w
+        if sigma - sigma_prev < tol:
+            break
+        sigma_prev = sigma
+    return sigma, it
+
+
+def test_power_lower_is_bit_equal_to_linalg_norm(monkeypatch):
+    # the norms are sqrt(x.dot(x)), which np.linalg.norm computes for a
+    # 1-D float array: every estimate keeps its last bit
+    nprng = np.random.default_rng(11)
+    for rows, cols, nnz in [(40, 30, 200), (600, 550, 3000), (700, 650, 4000),
+                            (1500, 1200, 9000)]:
+        r = nprng.integers(0, rows, nnz)
+        c = nprng.integers(0, cols, nnz)
+        vals = nprng.standard_normal(nnz)
+        for tol in (1e-6, 1e-13):
+            got = repnorm._power_lower((rows, cols), r, c, vals, tol)
+            want = _power_lower_with_linalg_norm((rows, cols), r, c, vals, tol)
+            assert repr(got) == repr(want), (rows, cols, tol)
+    grid = [(n, radius, tol) for n in range(1, 5) for radius in range(2, 9)
+            for tol in (1e-6, 1e-9)]
+    got = [rho_estimate(*args) for args in grid]
+    monkeypatch.setattr(repnorm, "_power_lower", _power_lower_with_linalg_norm)
+    assert repr([rho_estimate(*args) for args in grid]) == repr(got)
+
+
 # ---------------------------------------------------------------------------
 # walk operators on the free factor
 # ---------------------------------------------------------------------------
