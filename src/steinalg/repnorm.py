@@ -17,9 +17,22 @@ bound, on walks as the folds hand them over: letter strings mapped to
 integer numerators over one denominator.  ``_walk_bound`` merges signed
 walks of coefficients, so f - g is bounded as ``[(w_f, 1), (w_g, -1)]``
 and never built; ``stein_H_norm_bound`` and ``bundle_norm_bound`` are
-the one-call forms on elements.  ``rho_estimate`` takes a sphere index
-n, builds the walk of the sphere average b_n itself and bounds it above
-by Haagerup's inequality; every other walk goes through ``_fiber_bound``.
+the one-call forms on elements.
+
+``rho_estimate`` takes a sphere index n and bounds the sphere average
+mu_n above by Haagerup's inequality and below in sphere coordinates,
+without building a word.  On the Cayley tree of the free group, whose
+edges join w and x w for each letter x, lambda(1_{S_n}) is the distance-n
+operator (Kesten 1959), so it commutes with every tree automorphism that
+fixes e, and so does its truncation to a ball.  The truncated matrix is
+nonnegative, so by Perron-Frobenius it has a nonnegative top singular
+vector; averaged over those automorphisms, which act transitively on
+each sphere, it stays a nonzero top singular vector and becomes radial.  So
+``_radial_lower``, the matrix of mu_n between normalized sphere
+indicators, has the ball truncation's top singular value, and its size
+is the radius, not the ball.  A signed radial element has no such
+vector, and its radial bound can fall below the ball's; every other walk
+goes through ``_fiber_bound`` and the ball kernel below.
 
 Truncations are to balls in the rank-two free group on c, d.  A column of
 a truncated matrix whose image would leave the ball is flagged as a
@@ -64,7 +77,7 @@ import numpy as np
 from .bundle import (
     BSteinElt, _fiber_sums, bundle_bn, bundle_chiB, bundle_fold, stratum_units
 )
-from .groups import H_GENS, sphere, sphere_size
+from .groups import H_GENS, sphere_size
 from .steinberg import REGION_FULL, SteinElt, st_bn, st_chiB, st_fold
 
 
@@ -332,50 +345,80 @@ def haagerup_bound(n: int) -> float:
     return (n + 1) / (2.0 * 3.0 ** ((n - 1) / 2.0))
 
 
-def _radial_sphere1_sigma(radius: int, tol: float):
-    """sigma_max of the radius-``radius`` truncated normalized sphere-1
-    walk, computed in radial coordinates.
+def _sphere_count(j: int, l: int, k: int) -> int:
+    """For any fixed word b of length l, the number of words a of length j
+    with |a b| = k.
 
-    On e_l = the normalized sphere-l indicator the walk is tridiagonal:
-    A e_0 = (1/2) e_1, A e_1 = (1/2) e_0 + (sqrt3/4) e_2, and for l >= 2
-    A e_l = (sqrt3/4)(e_{l-1} + e_{l+1}).  Columns l <= radius-1 have
-    exact images in the ball; the truncation is invariant under the
-    letter symmetries, which act transitively on spheres, so a top
-    singular vector can be averaged into a radial one and the radial
-    block attains the full truncated sigma_max.
+    The product cancels t = (j + l - k) / 2 letters, so a = u p with p
+    the inverse of b's first t letters, and the count is that of the
+    reduced words u of length j - t.  The last letter of u may be neither
+    the t-th letter of b (when t > 0), nor the inverse of its (t+1)-th
+    (when t < l); these two are distinct, and words of length m >= 1 end
+    in each letter equally often, 3^(m-1) times.
     """
-    rows, cols = radius + 1, radius
-    off = math.sqrt(3.0) / 4.0
-    mat = np.zeros((rows, cols))
-    for col in range(cols):
-        mat[col + 1, col] = 0.5 if col == 0 else off
-        if col >= 1:
-            mat[col - 1, col] = 0.5 if col == 1 else off
+    t, odd = divmod(j + l - k, 2)
+    if odd or not 0 <= t <= min(j, l):
+        return 0
+    if t == j:
+        return 1
+    return (4 - (t > 0) - (t < l)) * 3 ** (j - t - 1)
+
+
+def _radial_lower(coeffs: Sequence[Fraction], radius: int, tol: float):
+    """Certified lower bound for the norm of the radial element
+    f = sum_k coeffs[k] 1_{S_k} on the radius-``radius`` ball truncation,
+    computed in sphere coordinates; returns ``(sigma, iterations)``.
+
+    The basis vectors are e_k = 1_{S_k} / sqrt|S_k|.  With d the largest
+    sphere of f, the columns are e_l for l <= radius - d, whose images
+    lie in ball(radius), and the rows e_k for k <= radius.  lambda(1_{S_j})
+    sends 1_{S_l} to sum_k (|S_l| / |S_k|) _sphere_count(j, l, k) 1_{S_k},
+    so entry (k, l) is sum_j coeffs[j] _sphere_count(j, l, k)
+    sqrt(|S_l| / |S_k|).  The sums are taken on integer numerators over
+    the coefficients' lcm, and each entry is the square root of an exact
+    ratio of integers, rounded once by the division and once by the root.
+    With no column (d > radius) the bound is 0.0 after 0 iterations.
+    """
+    d = len(coeffs) - 1
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    nums = [
+        (j, c.numerator * (denom // c.denominator))
+        for j, c in enumerate(coeffs) if c
+    ]
+    sizes = [1] + [sphere_size(k) for k in range(1, radius + 1)]
+    mat = np.zeros((radius + 1, max(radius - d + 1, 0)))
+    for l in range(mat.shape[1]):
+        for k in range(radius + 1):
+            v = sum(c * _sphere_count(j, l, k) for j, c in nums)
+            if v:
+                square = v * v * sizes[l] / (denom * denom * sizes[k])
+                mat[k, l] = math.copysign(math.sqrt(square), v)
     nz = np.nonzero(mat)
     return _power_lower(mat.shape, *nz, mat[nz], tol)
 
 
 def rho_estimate(n: int, radius: int, tol: float = 1e-9) -> NormEstimate:
     """Certified estimates for the norm of the sphere average
-    (1/|S_n|) sum_{k in S_n} lambda(k) on l2 of the free group on c, d.
+    mu_n = (1/|S_n|) sum_{k in S_n} lambda(k) on l2 of the free group on
+    c, d.
 
     n must be a positive integer; anything else raises ``ValueError``.
-    Other walks are bounded by ``_fiber_bound``.  The upper bound is
-    ``haagerup_bound(n)``.  The lower bound iterates on the ball
-    truncation with boundary columns removed; for S_1 this reduces
-    exactly to a tridiagonal radial matrix.
+    The upper bound is ``haagerup_bound(n)``.  The lower bound is the top
+    singular value of mu_n truncated to ball(radius), on the columns of
+    ball(radius - n), whose images are exact.  ``_radial_lower`` computes
+    it in sphere coordinates, with no word built, and loses nothing: the
+    truncation commutes with the tree automorphisms that fix e, and its
+    nonnegative top singular vector (Perron-Frobenius) averages over them
+    to a radial one (see the module docstring).  ``interior_cols`` is
+    |ball(radius - n)|, the ball columns the radial ones stand for, and 0,
+    with a lower bound of 0.0 after 0 iterations, when radius < n.
     """
     upper = haagerup_bound(n)
     if radius < 1:
         raise ValueError("truncation radius must be positive")
-    if n == 1:
-        sigma, iters = _radial_sphere1_sigma(radius, tol)
-        # the interior columns are the words of ball(radius - 1)
-        interior = 2 * 3 ** (radius - 1) - 1
-    else:
-        walk = dict.fromkeys((h.chars for h in sphere(n)), 1)
-        est = opnorm_lower(h_ball_operator(walk, sphere_size(n), radius), tol)
-        sigma, iters, interior = est.lower, est.iterations, est.interior_cols
+    coeffs = [Fraction(0)] * n + [Fraction(1, sphere_size(n))]
+    sigma, iters = _radial_lower(coeffs, radius, tol)
+    interior = 2 * 3 ** (radius - n) - 1 if radius >= n else 0
     return NormEstimate(sigma, upper, iters, radius, interior)
 
 

@@ -90,14 +90,14 @@ PINNED_REPORTS = {
     ("verify", "--example", "bundle", "--indices", "1,2,3", "--seed", "0"):
         "2576c92386ca84feabfbae0ccba0c9170c8ddb9c032a9aa9df81d15d49cf5fd9",
     ("scatter", "--indices", "1,2,3,4", "--radius", "6"):
-        "78d6b4e4c87fa2ff07761581b067e6cadd5b736e7f6993c68562f3ede1c64331",
+        "a4c37aa6abe7f8cd838ece9e060db814a895562f135bf678d29764457ff9315f",
     # n = 3 at radius 2: a sphere wider than its ball, no interior column
     ("scatter", "--indices", "1,2,3", "--radius", "2"):
-        "9b89ce7c59f9565200e8417533ec7595f7d5e4ca1f47c500d6571cca5ed1d18f",
+        "a2e2313a41a97b1c2d8088003e5f0fbf813ba38ff6b15ea55c95fcc727f1aee2",
     # the float bounds over more walks: spheres up to S_5 in a radius-8
     # ball, the bundle pairs up to b_6, and a radius-5 selfsim profile
     ("scatter", "--indices", "1,2,3,4,5", "--radius", "8"):
-        "12c8367b881c925069a87f9a3abc6b79865ae43f7141482e23511b9ee110dc19",
+        "b6abc76a44392dec6ed3295649d32d099a4a1d829be0da6e6735fa820cb0bef9",
     ("verify", "--example", "bundle", "--indices", "1,2,3,4,5,6"):
         "cea88a1719a5118335de83cb40e74f46e2dd1dc1505fe6ed15daf7464a1d3112",
     ("verify", "--indices", "1,3,5", "--radius", "5", "--seed", "2"):
@@ -164,6 +164,15 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(args):
     # then; two fixed seeds make such a leak fail every time
     digests = {_report_digest(args, PYTHONHASHSEED=seed) for seed in ("0", "1")}
     assert digests == {PINNED_REPORTS[args]}
+
+
+def test_scatter_bytes_do_not_depend_on_the_blas_thread_count():
+    # every scatter bound is the top singular value of a small radial
+    # matrix, so no multithreaded BLAS reduction reaches the report at a
+    # radius where the ball truncation would have had thousands of columns
+    args = ("scatter", "--indices", "1,2,3,4", "--radius", "8")
+    digests = {_report_digest(args, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")}
+    assert len(digests) == 1
 
 
 def test_samplers_draw_like_the_validating_references():
@@ -714,7 +723,7 @@ def test_scatter_sphere_one_has_four_elements():
 
 def test_scatter_fails_on_a_lower_bound_above_the_upper(monkeypatch):
     # an inconsistent certificate must reach the report, not be clamped away
-    monkeypatch.setattr(repnorm, "_radial_sphere1_sigma", lambda *args: (1.25, 1))
+    monkeypatch.setattr(repnorm, "_radial_lower", lambda *args: (1.25, 1))
     res = run("scatter", "--indices", "1")
     assert res.exit_code == 1
     report = json.loads(res.stdout)

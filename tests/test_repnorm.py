@@ -9,7 +9,9 @@ z-rooted word must be, up to a basis permutation, the ball truncation that
 stein_H_norm_bound builds directly from the fiber coefficients (the
 shortcut "z-rooted germs are the left regular representation of H").  The
 index-gather kernel of h_ball_operator is checked against a column loop of
-free-word products, kept here as its oracle.
+free-word products, kept here as its oracle.  The radial matrix behind
+rho_estimate is checked against the ball truncation it stands for, and its
+sphere counts against a count over the words of ball(4).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from steinalg import bundle as bundle_module, repnorm, steinberg
+from steinalg import bundle as bundle_module, groups, repnorm, steinberg
 
 from steinalg.bundle import (
     WHOLE_SET,
@@ -34,7 +36,7 @@ from steinalg.bundle import (
     bundle_chiB,
     bstein_conv,
 )
-from steinalg.groups import W_ONE, ball, free_word, sphere
+from steinalg.groups import W_ONE, ball, free_mul, free_word, sphere
 from steinalg.repnorm import (
     LimitRow,
     NormEstimate,
@@ -630,6 +632,79 @@ def test_rho_sphere_two():
     est = rho_estimate(2, radius=4, tol=1e-12)
     assert est.upper == pytest.approx(haagerup_bound(2))
     assert 0 < est.lower <= est.upper + 1e-12
+
+
+def test_sphere_counts_match_a_count_over_the_ball():
+    # for each word b of ball(4), the words a of each length j <= 4 by the
+    # length of a * b
+    words = ball(4)
+    for b in words:
+        for j in range(5):
+            counts = [0] * 9
+            for a in words:
+                if len(a) == j:
+                    counts[len(free_mul(a, b))] += 1
+            want = [repnorm._sphere_count(j, len(b), k) for k in range(9)]
+            assert counts == want, (b.chars, j)
+
+
+def test_radial_bound_equals_the_dense_ball_bound():
+    # up to radius 5 a ball truncation has at most 485 columns, so
+    # opnorm_lower takes its dense SVD; the radial matrix has the same top
+    # singular value for a positive radial element (Perron-Frobenius and
+    # the tree's symmetry), here the spheres 1 to 4 and mu_1 + mu_3
+    cases = [
+        (n, [Fraction(0)] * n + [Fraction(1, len(sphere(n)))], sphere_walk(n))
+        for n in range(1, 5)
+    ]
+    mu_1_plus_mu_3 = (
+        [Fraction(0), Fraction(1, 4), Fraction(0), Fraction(1, 36)],
+        ({**dict.fromkeys((h.chars for h in sphere(1)), 9),
+          **dict.fromkeys((h.chars for h in sphere(3)), 1)}, 36),
+    )
+    for n, coeffs, walk in cases + [(None, *mu_1_plus_mu_3)]:
+        for radius in range(6):
+            sigma, iters = repnorm._radial_lower(coeffs, radius, 1e-9)
+            ball_est = opnorm_lower(h_ball_operator(*walk, radius))
+            assert sigma == pytest.approx(ball_est.lower, abs=1e-12)
+            assert iters == ball_est.iterations
+            if n and radius:
+                est = rho_estimate(n, radius=radius)
+                assert (est.lower, est.iterations) == (sigma, iters)
+                assert est.interior_cols == ball_est.interior_cols
+
+
+def test_radial_bound_is_at_least_the_ball_power_iteration():
+    # past radius 5 the ball takes the power iteration, which stops short
+    for n in range(1, 5):
+        for radius in (6, 7):
+            ball_est = opnorm_lower(h_ball_operator(*sphere_walk(n), radius))
+            est = rho_estimate(n, radius=radius)
+            assert est.lower >= ball_est.lower - 1e-12
+            assert est.interior_cols == ball_est.interior_cols
+            assert est.iterations == 1
+
+
+def test_rho_estimate_builds_no_ball_and_no_sphere(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(repnorm, "h_ball_operator", counted("h_ball", h_ball_operator))
+    monkeypatch.setattr(groups, "sphere", counted("sphere", groups.sphere))
+    monkeypatch.setattr(groups, "ball", counted("ball", groups.ball))
+    assert rho_estimate(12, radius=6) == NormEstimate(
+        0.0, haagerup_bound(12), 0, 6, 0
+    )
+    assert rho_estimate(3, radius=9).lower > 0
+    assert calls == []
+    # the counters see a ball build that does happen
+    repnorm._walk_bound([({"c": Fraction(1)}, 1)], 2, 1e-9)
+    assert calls == ["h_ball"]
 
 
 def test_rho_non_sphere_symmetric_set():
